@@ -36,6 +36,7 @@ from .scoring import (
     join_samples,
     rectified_speedup,
     score_curve,
+    score_level,
     speedup_score,
 )
 from .simulator import ErrorRates, OpCountLaw, SimSpec, SpeedupLaw, compare_outputs, simulate

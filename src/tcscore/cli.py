@@ -20,15 +20,7 @@ from .records import (
     write_manifests,
     write_records,
 )
-from .scoring import (
-    ScoreConfig,
-    classify,
-    components,
-    error_aware_score,
-    join_samples,
-    score_curve,
-    speedup_score,
-)
+from .scoring import ScoreConfig, join_samples, score_curve, score_level
 from .simulator import SimSpec, records_header, simulate
 
 __all__ = ["build_parser", "main", "run"]
@@ -121,27 +113,30 @@ def run() -> None:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        levels = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad grid {text!r}: expected comma-separated numbers") from None
-    if not levels:
-        raise ValueError("grid must be nonempty")
-    return levels
 
 
 def _config(args, header=None) -> ScoreConfig:
-    """Assemble scoring settings: defaults, then file header, then flags."""
+    """Assemble scoring settings: defaults, then file header, then flags.
+
+    With a header, every numeric level (t <= 0) of ``--grid`` must be one
+    the records producer measured.
+    """
     cfg = ScoreConfig() if header is None else ScoreConfig.from_header(header)
-    grid_neg, grid_pos = cfg.grid_neg, cfg.grid_pos
+    grid = cfg.grid
     if getattr(args, "grid", None):
-        levels = _parse_grid(args.grid)
-        grid_neg = tuple(t for t in levels if t <= 0)
-        grid_pos = tuple(t for t in levels if t > 0)
+        grid = _parse_grid(args.grid)
+        if header is not None:
+            unmeasured = [t for t in grid if t <= 0 and t not in header.grid]
+            if unmeasured:
+                levels = ", ".join(map(reporting.level_label, unmeasured))
+                raise ValueError(f"--grid levels not on the records header grid: {levels}")
     return ScoreConfig(
         degradation_penalty=args.p if args.p is not None else cfg.degradation_penalty,
         failure_penalty=args.b if args.b is not None else cfg.failure_penalty,
-        grid_neg=grid_neg,
-        grid_pos=grid_pos,
+        grid=grid,
     )
 
 
@@ -167,15 +162,12 @@ def _cmd_score(args) -> int:
     manifests, records, cfg = _load_scoring_inputs(args, need_manifests=False)
     if manifests is not None:
         join_samples(manifests, records)
-    if not records:
-        raise ValueError("no samples")
-    t = float(args.t)
-    classified = [classify(record, t, cfg) for record in records]
-    comp = components(classified, t, cfg)
+    point = score_level(records, args.t, cfg)
+    comp = point.components
     payload = {
-        "t": t,
-        "S": speedup_score(comp, cfg) if t <= 0 else None,
-        "ES": error_aware_score(comp, cfg),
+        "t": point.t,
+        "S": point.speedup_score,
+        "ES": point.error_aware_score,
         "alpha": comp.geomean_speedup,
         "beta": comp.geomean_slowdown,
         "lambda": comp.correct_fraction,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -202,10 +203,8 @@ def manifest_from_dict(data: Mapping[str, Any]) -> SampleManifest:
     if parameter_count is not None:
         parameter_count = _expect_int({"parameter_count": parameter_count}, "parameter_count")
     digest_inputs = None
-    raw_digest = data.get("source_digest_inputs")
-    if raw_digest is not None:
-        if not isinstance(raw_digest, Mapping):
-            raise ValueError("source_digest_inputs must be an object")
+    if data.get("source_digest_inputs") is not None:
+        raw_digest = _expect_object(data, "source_digest_inputs")
         topology = raw_digest.get("topology")
         if not isinstance(topology, list):
             raise ValueError("source_digest_inputs.topology must be a list")
@@ -258,9 +257,7 @@ def record_from_dict(
     data: Mapping[str, Any], grid: frozenset[float] | None = None
 ) -> RunRecord:
     """Parse one record; with ``grid`` given, min_passing_t must lie on it."""
-    raw_outcome = data.get("outcome")
-    if not isinstance(raw_outcome, Mapping):
-        raise ValueError("outcome must be an object")
+    raw_outcome = _expect_object(data, "outcome")
     outcome_kind = _expect_str(raw_outcome, "kind")
     outcome: RunOutcome
     if outcome_kind == "completed":
@@ -322,7 +319,7 @@ def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
         or not raw_grid
         or not all(_is_real(v) for v in raw_grid)
     ):
-        raise ValueError("grid must be a nonempty list of numbers")
+        raise ValueError("grid must be a nonempty list of finite numbers")
     grid = tuple(float(v) for v in raw_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly ascending")
@@ -457,9 +454,21 @@ def _expect_int(data: Mapping[str, Any], key: str) -> int:
 def _expect_real(data: Mapping[str, Any], key: str) -> float:
     value = data.get(key)
     if not _is_real(value):
-        raise ValueError(f"{key} must be a number")
+        raise ValueError(f"{key} must be a finite number")
     return float(value)
 
 
+def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    value = data.get(key)
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{key} must be an object")
+    return value
+
+
 def _is_real(value: Any) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+    # Finite and within float range: rejects NaN, infinities and huge integers.
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max
+    )

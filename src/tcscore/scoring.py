@@ -40,6 +40,7 @@ __all__ = [
     "join_samples",
     "rectified_speedup",
     "score_curve",
+    "score_level",
     "speedup_score",
 ]
 
@@ -57,12 +58,11 @@ class ErrorCode(IntEnum):
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Scoring knobs: penalties and the tolerance level grid."""
+    """Scoring knobs: penalties and the ascending tolerance level grid."""
 
     degradation_penalty: float = 0.1  # p: exponent boost for correct slowdowns
     failure_penalty: float = 0.1  # b: score factor for failed samples
-    grid_neg: tuple[float, ...] = tuple(float(t) for t in range(-10, 1))
-    grid_pos: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
+    grid: tuple[float, ...] = tuple(float(t) for t in range(-10, 5))
 
     def __post_init__(self) -> None:
         if not 0 < self.degradation_penalty < 1:
@@ -73,36 +73,23 @@ class ScoreConfig:
             raise ValueError(
                 f"failure_penalty must lie in (0, 1), got {self.failure_penalty}"
             )
-        if not self.grid_neg:
-            raise ValueError("grid_neg must be nonempty")
-        _check_ascending("grid_neg", self.grid_neg)
-        _check_ascending("grid_pos", self.grid_pos)
-        if self.grid_neg[-1] > 0:
-            raise ValueError("grid_neg levels must be <= 0")
-        if self.grid_pos and self.grid_pos[0] <= 0:
-            raise ValueError("grid_pos levels must be > 0")
-
-    @property
-    def full_grid(self) -> tuple[float, ...]:
-        return self.grid_neg + self.grid_pos
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError("grid levels must be finite")
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid must be strictly ascending")
+        if not self.grid or self.grid[0] > 0:
+            raise ValueError("grid must contain at least one level <= 0")
 
     @classmethod
     def from_header(cls, header: RecordsHeader) -> "ScoreConfig":
         """Adopt a records-file header; defaults fill an absent side."""
-        defaults = cls()
-        neg = tuple(t for t in header.grid if t <= 0)
-        pos = tuple(t for t in header.grid if t > 0)
-        return cls(
-            degradation_penalty=header.p,
-            failure_penalty=header.b,
-            grid_neg=neg or defaults.grid_neg,
-            grid_pos=pos or defaults.grid_pos,
-        )
-
-
-def _check_ascending(name: str, levels: Sequence[float]) -> None:
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"{name} must be strictly ascending")
+        defaults = cls().grid
+        grid = header.grid
+        if grid[0] > 0:
+            grid = tuple(t for t in defaults if t <= 0) + grid
+        if grid[-1] <= 0:
+            grid += tuple(t for t in defaults if t > 0)
+        return cls(header.p, header.b, grid)
 
 
 @dataclass(frozen=True)
@@ -171,7 +158,7 @@ def classify(
     """
     cfg = cfg or ScoreConfig()
     t = float(t)
-    if t not in cfg.full_grid:
+    if t not in cfg.grid:
         raise ValueError(f"level {t} is not on the configured grid")
     outcome = record.outcome
     if isinstance(outcome, CompileFailure):
@@ -211,23 +198,13 @@ def components(
             counts[sample.error_code - 1] += 1
     correct = len(speedups)
     errors = total - correct
-    # Exponent from integer counts so that unforgiven-everything is exactly 1
-    # and the penalty collapses to the plain failure penalty for t <= 0.
-    if errors:
-        unforgiven = sum(
-            count for code, count in zip((1, 2, 3), counts) if t < code
-        )
-        penalty = cfg.failure_penalty ** (unforgiven / errors)
-        shares = tuple(count / errors for count in counts)
-    else:
-        penalty = 1.0
-        shares = (0.0, 0.0, 0.0)
+    shares = tuple(count / errors for count in counts) if errors else (0.0, 0.0, 0.0)
     return ScoreComponents(
         geomean_speedup=_geomean(speedups) if speedups else 1.0,
         geomean_slowdown=_geomean(slow) if slow else 1.0,
         correct_fraction=correct / total,
         slowdown_fraction=len(slow) / correct if correct else 0.0,
-        penalty=penalty,
+        penalty=gamma(counts, t, cfg),
         error_shares=shares,
         total=total,
         correct=correct,
@@ -265,15 +242,19 @@ def error_aware_score(comp: ScoreComponents, cfg: ScoreConfig) -> float:
     return _score(comp, cfg, comp.penalty)
 
 
-def gamma(pi: Sequence[float], t: float, cfg: ScoreConfig) -> float:
-    """Aggregate failure penalty for error shares ``pi`` at level t.
+def gamma(errors_by_code: Sequence[int], t: float, cfg: ScoreConfig) -> float:
+    """Aggregate failure penalty for per-code error counts at level t.
 
-    Raises the failure penalty to the summed share of error codes that
-    level t does not forgive: the full penalty for t <= 0, fading to 1
-    once every category is forgiven at t >= 3.
+    Raises the failure penalty to the share of errors that level t does
+    not forgive: the full penalty for t <= 0 (the exponent is exactly 1,
+    as it comes from integer counts), fading to 1 once every category is
+    forgiven at t >= 3. With no errors the penalty is 1.
     """
-    exponent = math.fsum(share for code, share in zip((1, 2, 3), pi) if t < code)
-    return cfg.failure_penalty**exponent
+    errors = sum(errors_by_code)
+    if not errors:
+        return 1.0
+    unforgiven = sum(count for code, count in zip(ErrorCode, errors_by_code) if t < code)
+    return cfg.failure_penalty ** (unforgiven / errors)
 
 
 def rectified_speedup(sample: ClassifiedSample, cfg: ScoreConfig) -> float:
@@ -353,6 +334,15 @@ def join_samples(
     return pairs
 
 
+def score_level(
+    records: Sequence[RunRecord], t: float, cfg: ScoreConfig
+) -> CurvePoint:
+    """Classify and score every record at grid level t."""
+    comp = components([classify(record, t, cfg) for record in records], t, cfg)
+    score = speedup_score(comp, cfg) if t <= 0 else None
+    return CurvePoint(t, comp, score, error_aware_score(comp, cfg))
+
+
 def score_curve(
     manifests: Sequence[SampleManifest],
     records: Sequence[RunRecord],
@@ -361,12 +351,4 @@ def score_curve(
     """Classify and score the dataset at every grid level."""
     cfg = cfg or ScoreConfig()
     join_samples(manifests, records)
-    if not records:
-        raise ValueError("no samples")
-    points = []
-    for t in cfg.full_grid:
-        classified = [classify(record, t, cfg) for record in records]
-        comp = components(classified, t, cfg)
-        score = speedup_score(comp, cfg) if t <= 0 else None
-        points.append(CurvePoint(t, comp, score, error_aware_score(comp, cfg)))
-    return ScoreCurve(tuple(points))
+    return ScoreCurve(tuple(score_level(records, t, cfg) for t in cfg.grid))

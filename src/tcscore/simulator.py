@@ -10,7 +10,7 @@ order, so a given spec maps to byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -25,6 +25,10 @@ from .records import (
     SampleManifest,
     TaskCategory,
     TensorComparison,
+    _expect_int,
+    _expect_object,
+    _expect_real,
+    _expect_str,
 )
 from .scoring import ScoreConfig
 from .tolerance import ScalarKind, min_passing_tolerance
@@ -149,30 +153,37 @@ class SimSpec:
             raise ValueError("noise magnitudes must be >= 0")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimSpec":
+    def from_dict(cls, data: Any) -> "SimSpec":
         """Build a spec from parsed JSON; unnamed fields keep defaults."""
+        if not isinstance(data, Mapping):
+            raise ValueError("spec must be a JSON object")
         kwargs: dict[str, Any] = {}
         for key in ("seed", "n_samples"):
             if key in data:
-                kwargs[key] = int(data[key])
+                kwargs[key] = _expect_int(data, key)
         if "framework" in data:
-            kwargs["framework"] = str(data["framework"])
-        if "category_mix" in data:
-            kwargs["category_mix"] = {
-                TaskCategory.from_name(name): float(weight)
-                for name, weight in data["category_mix"].items()
-            }
-        if "speedup_law" in data:
-            kwargs["speedup_law"] = SpeedupLaw(**data["speedup_law"])
-        if "error_rates" in data:
-            kwargs["error_rates"] = ErrorRates(**data["error_rates"])
-        if "noise_law" in data:
-            kwargs["noise_law"] = {
-                ScalarKind.from_name(name): float(magnitude)
-                for name, magnitude in data["noise_law"].items()
-            }
-        if "opcount_law" in data:
-            kwargs["opcount_law"] = OpCountLaw(**data["opcount_law"])
+            kwargs["framework"] = _expect_str(data, "framework")
+        for key, parse_name in (
+            ("category_mix", TaskCategory.from_name),
+            ("noise_law", ScalarKind.from_name),
+        ):
+            if key in data:
+                weights = _expect_object(data, key)
+                kwargs[key] = {parse_name(name): _expect_real(weights, name) for name in weights}
+        for key, law in (
+            ("speedup_law", SpeedupLaw),
+            ("error_rates", ErrorRates),
+            ("opcount_law", OpCountLaw),
+        ):
+            if key in data:
+                params = _expect_object(data, key)
+                known = [f.name for f in fields(law)]
+                unknown = sorted(set(params) - set(known))
+                if unknown:
+                    raise ValueError(
+                        f"{key}: unknown keys {', '.join(unknown)} (expected: {', '.join(known)})"
+                    )
+                kwargs[key] = law(**{name: _expect_real(params, name) for name in params})
         return cls(**kwargs)
 
 
@@ -185,7 +196,7 @@ def compare_outputs(
 
 def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:
     return RecordsHeader(
-        grid=cfg.full_grid,
+        grid=cfg.grid,
         p=cfg.degradation_penalty,
         b=cfg.failure_penalty,
         producer=f"simulator seed={spec.seed}",
@@ -209,6 +220,7 @@ def simulate(
     probs = weights / weights.sum()
     kinds = list(spec.noise_law)
     rates = spec.error_rates
+    numeric_grid = tuple(t for t in cfg.grid if t <= 0)
 
     manifests: list[SampleManifest] = []
     records: list[RunRecord] = []
@@ -281,7 +293,7 @@ def simulate(
                     rng.uniform(-2.0, 2.0)
                 )
                 candidate = baseline + rng.uniform(-1.0, 1.0, size=_OUTPUT_LEN) * magnitude
-            comparisons.append(compare_outputs(candidate, baseline, kind, cfg.grid_neg, index))
+            comparisons.append(compare_outputs(candidate, baseline, kind, numeric_grid, index))
         records.append(
             RunRecord(
                 sample_id,

@@ -234,7 +234,7 @@ def test_criterion_5_monotonicity_suite():
             spec = SimSpec(seed=seed, n_samples=400)
             manifests, records = simulate(spec, CFG)
             for record in records:
-                passes = [classify(record, float(t), CFG).is_correct for t in CFG.grid_neg]
+                passes = [classify(record, float(t), CFG).is_correct for t in CFG.grid if t <= 0]
                 assert passes == sorted(passes), record.sample_id
             curve = score_curve(manifests, records, CFG)
             assert all(p.components.errors > 0 for p in curve.points)
@@ -262,7 +262,7 @@ def test_criterion_6_degenerate_cases():
         assert speedup_score(components(all_failures, 0.0, CFG), CFG) == CFG.failure_penalty
 
         all_unit = [ClassifiedSample.correct(f"s{i}", 1.0) for i in range(20)]
-        for t in CFG.full_grid:
+        for t in CFG.grid:
             comp = components(all_unit, t, CFG)
             assert error_aware_score(comp, CFG) == 1.0
             if t <= 0:

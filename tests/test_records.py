@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcscore.cli import main
 from tcscore.graphhash import HashInput
 from tcscore.records import (
     CompileFailure,
@@ -171,6 +173,33 @@ def test_load_records_validation_errors_located(tmp_path):
     path.write_text("\n".join([good[0], json.dumps(bad)]) + "\n")
     with pytest.raises(IngestError, match=r"r\.jsonl:2.*eager_time_s"):
         load_records(path)
+
+
+@pytest.mark.parametrize(
+    "lineno, field, value",
+    [
+        (1, "grid", [-10.0, math.nan, 0.0]),
+        (1, "p", math.nan),
+        (1, "b", math.inf),
+        (2, "eager_time_s", math.inf),
+        (2, "eager_time_s", 10**400),
+        (2, "compiled_time_s", math.nan),
+        (2, "min_passing_t", -math.inf),
+    ],
+)
+def test_load_records_rejects_non_finite_numbers(tmp_path, capsys, lineno, field, value):
+    path = tmp_path / "r.jsonl"
+    write_records(path, HEADER, [make_record("a")])
+    header, record = (json.loads(line) for line in path.read_text().splitlines())
+    target = {1: header, 2: record}[lineno]
+    if field == "min_passing_t":
+        target = record["outcome"]["comparisons"][0]
+    target[field] = value
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(IngestError, match=rf"r\.jsonl:{lineno}: .*{field}"):
+        load_records(path)
+    assert main(["validate", "--records", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
 
 
 def test_load_records_rejects_off_grid_level(tmp_path):

@@ -34,7 +34,7 @@ from tcscore.dataset import stats
 from tcscore.tolerance import ScalarKind
 
 CFG = ScoreConfig()
-HEADER = RecordsHeader(CFG.full_grid, 0.1, 0.1, "test")
+HEADER = RecordsHeader(CFG.grid, 0.1, 0.1, "test")
 
 
 def manifest(sample_id, framework="torch", category=TaskCategory.CV):
@@ -86,7 +86,7 @@ def test_table_rows_columns_and_dash():
     manifests, records = small_dataset()
     curve = score_curve(manifests, records, CFG)
     rows = table_rows(curve)
-    assert len(rows) == len(CFG.full_grid)
+    assert len(rows) == len(CFG.grid)
     for row in rows:
         assert list(row) == ["t", "alpha", "beta", "lambda", "eta", "S(t)", "gamma", "ES(t)"]
         if float(row["t"]) > 0:
@@ -101,7 +101,7 @@ def test_render_table_csv_header():
     text = render_table(curve, "csv")
     lines = text.splitlines()
     assert lines[0] == "t,alpha,beta,lambda,eta,S(t),gamma,ES(t)"
-    assert len(lines) == 1 + len(CFG.full_grid)
+    assert len(lines) == 1 + len(CFG.grid)
 
 
 def test_render_table_json_null_for_positive_levels():
@@ -225,6 +225,38 @@ def test_cli_score_off_grid_level_fails(tmp_path, capsys):
     code = main(["score", "--records", r_path, "--t", "0.5"])
     assert code == 1
     assert "grid" in capsys.readouterr().err
+
+
+def test_cli_grid_levels_must_be_measured_and_ascending(tmp_path, capsys):
+    manifests, records = small_dataset()
+    _, r_path = write_dataset(tmp_path, manifests, records)
+    code = main(["score", "--records", r_path, "--grid=-7,-6.5,0,1,2,3,4", "--t=-6.5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith("grid: -6.5")
+    assert main(["score", "--records", r_path, "--grid=1,0", "--t=0"]) == 1
+    assert "ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [1],
+        {"seed": 1.5},
+        {"n_samples": "10"},
+        {"speedup_law": {"mean": 1}},
+        {"error_rates": [0.1]},
+        {"category_mix": ["CV"]},
+        {"noise_law": {"float32": None}},
+    ],
+)
+def test_cli_simulate_rejects_malformed_spec(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(tmp_path / "r.jsonl")]
+    assert main(["simulate", "--spec", str(spec_path), *outputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_validate_reports_duplicate_lines(tmp_path, capsys):

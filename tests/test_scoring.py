@@ -62,13 +62,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScoreConfig(failure_penalty=1.0)
     with pytest.raises(ValueError):
-        ScoreConfig(grid_neg=())
+        ScoreConfig(grid=())
     with pytest.raises(ValueError):
-        ScoreConfig(grid_neg=(-1.0, -1.0))
-    with pytest.raises(ValueError):
-        ScoreConfig(grid_neg=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        ScoreConfig(grid_pos=(0.0,))
+        ScoreConfig(grid=(-1.0, -1.0))
+    with pytest.raises(ValueError, match="level <= 0"):
+        ScoreConfig(grid=(1.0, 2.0))
+    with pytest.raises(ValueError, match="ascending"):
+        ScoreConfig(grid=(1.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        ScoreConfig(grid=(-1.0, math.nan, 0.0))
 
 
 def test_classified_sample_validation():
@@ -167,11 +169,12 @@ def test_error_aware_score_reference_rows():
 
 
 def test_gamma_examples():
-    assert gamma((1.0, 0.0, 0.0), 1.0, CFG) == 1.0
-    assert gamma((0.0, 0.0, 1.0), 2.0, CFG) == pytest.approx(0.1)
-    assert gamma((0.5, 0.0, 0.5), 1.0, CFG) == pytest.approx(math.sqrt(0.1))
-    assert gamma((0.2, 0.3, 0.5), -4.0, CFG) == pytest.approx(CFG.failure_penalty)
-    assert gamma((0.2, 0.3, 0.5), 3.0, CFG) == 1.0
+    assert gamma((1, 0, 0), 1.0, CFG) == 1.0
+    assert gamma((0, 0, 1), 2.0, CFG) == 0.1
+    assert gamma((1, 0, 1), 1.0, CFG) == 0.1**0.5
+    assert gamma((2, 3, 5), -4.0, CFG) == CFG.failure_penalty
+    assert gamma((2, 3, 5), 3.0, CFG) == 1.0
+    assert gamma((0, 0, 0), -4.0, CFG) == 1.0
 
 
 def test_rectified_speedup_branches():
@@ -287,7 +290,7 @@ def test_score_curve_shape_and_reduction():
     ]
     manifests, records = make_pairs(records)
     curve = score_curve(manifests, records, CFG)
-    assert [p.t for p in curve.points] == list(CFG.full_grid)
+    assert [p.t for p in curve.points] == list(CFG.grid)
     for point in curve.points:
         if point.t <= 0:
             assert point.speedup_score == point.error_aware_score
@@ -340,14 +343,14 @@ def test_score_curve_empty_inputs():
     with pytest.raises(ValueError, match="no samples"):
         score_curve([], [], CFG)
     with pytest.raises(ValueError):
-        ScoreConfig(grid_neg=())  # an empty grid cannot even be configured
+        ScoreConfig(grid=())  # an empty grid cannot even be configured
 
 
 def test_lambda_monotone_on_negative_grid():
     rnd = random.Random(7)
     records = []
     for i in range(60):
-        level = rnd.choice(list(CFG.grid_neg) + [None])
+        level = rnd.choice([t for t in CFG.grid if t <= 0] + [None])
         records.append(completed_record(f"s{i}", levels=(level,), eager=rnd.uniform(0.5, 4.0)))
     manifests, records = make_pairs(records)
     curve = score_curve(manifests, records, CFG)

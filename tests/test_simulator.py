@@ -69,7 +69,7 @@ def test_clean_noiseless_runs_pass_at_strictest_level():
     for record in records:
         assert isinstance(record.outcome, Completed)
         for comparison in record.outcome.comparisons:
-            assert comparison.min_passing_t == CFG.grid_neg[0]
+            assert comparison.min_passing_t == CFG.grid[0]
 
 
 def test_all_compile_failures_scores_to_failure_penalty():
@@ -103,7 +103,7 @@ def test_different_seeds_differ():
 
 
 def test_compare_outputs_examples():
-    grid = CFG.grid_neg
+    grid = tuple(t for t in CFG.grid if t <= 0)
     same = compare_outputs([1.0, 2.0], [1.0, 2.0], ScalarKind.FLOAT32, grid)
     assert same.min_passing_t == grid[0]
     perturbed = compare_outputs([1.0 + 1e-4], [1.0], ScalarKind.FLOAT32, grid, index=2)
@@ -193,4 +193,4 @@ def test_end_to_end_pipeline_completes():
     spec = SimSpec(seed=33, n_samples=150)
     manifests, records = simulate(spec, CFG)
     curve = score_curve(manifests, records, CFG)
-    assert len(curve.points) == len(CFG.full_grid)
+    assert len(curve.points) == len(CFG.grid)
