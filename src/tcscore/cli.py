@@ -25,6 +25,9 @@ from .simulator import SimSpec, records_header, simulate
 
 __all__ = ["build_parser", "main", "run"]
 
+# The level_row fields `tcscore score` prints, in order.
+_SCORE_KEYS = ("t", "S", "ES", "alpha", "beta", "lambda", "eta", "gamma", "total", "correct", "errors")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated tolerance levels (use --grid='-10,...,4' for negatives)",
         )
 
-    def add_output_flags(cmd: argparse.ArgumentParser, formats=("csv", "json", "md")) -> None:
+    def add_output_flags(cmd: argparse.ArgumentParser, formats) -> None:
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
         cmd.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
@@ -57,27 +60,25 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--t", type=float, default=0.0, help="tolerance level (must be on the grid)")
     add_scoring_flags(cmd)
 
-    cmd = add_command("curve", _cmd_curve, "Export full-precision scores over the whole grid.")
-    cmd.add_argument("--records", required=True)
-    cmd.add_argument("--manifests", required=True)
-    add_scoring_flags(cmd)
-    add_output_flags(cmd)
-
-    cmd = add_command("report", _cmd_report, "Render the score table (3 decimals, '-' for S at t > 0).")
-    cmd.add_argument("--records", required=True)
-    cmd.add_argument("--manifests", required=True)
-    add_scoring_flags(cmd)
-    add_output_flags(cmd)
-
-    cmd = add_command("violin", _cmd_violin, "Per-group log2 speedups of correct samples at level 0.")
-    cmd.add_argument("--records", required=True)
-    cmd.add_argument("--manifests", required=True)
-    add_scoring_flags(cmd)
-    add_output_flags(cmd, formats=("json", "csv", "md"))
+    csv_first, json_first = ("csv", "json", "md"), ("json", "csv", "md")
+    for name, build, render, formats, help_text in (
+        ("curve", score_curve, reporting.render_curve, csv_first,
+         "Export full-precision scores over the whole grid."),
+        ("report", score_curve, reporting.render_table, csv_first,
+         "Render the score table (3 decimals, '-' for S at t > 0)."),
+        ("violin", reporting.violin_data, reporting.render_violin, json_first,
+         "Per-group log2 speedups of correct samples at level 0."),
+    ):
+        cmd = add_command(name, _cmd_render, help_text)
+        cmd.set_defaults(build=build, render=render)
+        cmd.add_argument("--records", required=True)
+        cmd.add_argument("--manifests", required=True)
+        add_scoring_flags(cmd)
+        add_output_flags(cmd, formats)
 
     cmd = add_command("stats", _cmd_stats, "Category shares and operator-count histograms.")
     cmd.add_argument("--manifests", required=True)
-    add_output_flags(cmd, formats=("json", "csv", "md"))
+    add_output_flags(cmd, json_first)
 
     cmd = add_command("dedup", _cmd_dedup, "Drop graph-hash duplicates, keeping first occurrences.")
     cmd.add_argument("--manifests", required=True)
@@ -147,58 +148,27 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _load_scoring_inputs(args, *, need_manifests: bool):
+def _load_scoring_inputs(args):
     header, records = load_records(args.records)
     cfg = _config(args, header)
-    manifests = None
-    if args.manifests is not None:
-        manifests = load_manifests(args.manifests)
-    elif need_manifests:
-        raise ValueError("--manifests is required")
+    manifests = None if args.manifests is None else load_manifests(args.manifests)
     return manifests, records, cfg
 
 
 def _cmd_score(args) -> int:
-    manifests, records, cfg = _load_scoring_inputs(args, need_manifests=False)
+    manifests, records, cfg = _load_scoring_inputs(args)
     if manifests is not None:
         join_samples(manifests, records)
-    point = score_level(records, args.t, cfg)
-    comp = point.components
-    payload = {
-        "t": point.t,
-        "S": point.speedup_score,
-        "ES": point.error_aware_score,
-        "alpha": comp.geomean_speedup,
-        "beta": comp.geomean_slowdown,
-        "lambda": comp.correct_fraction,
-        "eta": comp.slowdown_fraction,
-        "gamma": comp.penalty,
-        "total": comp.total,
-        "correct": comp.correct,
-        "errors": comp.errors,
-    }
-    print(json.dumps(payload))
+    row = reporting.level_row(score_level(records, args.t, cfg))
+    print(json.dumps({key: row[key] for key in _SCORE_KEYS}))
     return 0
 
 
-def _cmd_curve(args) -> int:
-    manifests, records, cfg = _load_scoring_inputs(args, need_manifests=True)
-    curve = score_curve(manifests, records, cfg)
-    _emit(reporting.render_curve(curve, args.format), args.out)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    manifests, records, cfg = _load_scoring_inputs(args, need_manifests=True)
-    curve = score_curve(manifests, records, cfg)
-    _emit(reporting.render_table(curve, args.format), args.out)
-    return 0
-
-
-def _cmd_violin(args) -> int:
-    manifests, records, cfg = _load_scoring_inputs(args, need_manifests=True)
-    groups = reporting.violin_data(manifests, records, cfg)
-    _emit(reporting.render_violin(groups, args.format), args.out)
+def _cmd_render(args) -> int:
+    """Shared handler of ``report``, ``curve`` and ``violin``."""
+    manifests, records, cfg = _load_scoring_inputs(args)
+    data = args.build(manifests, records, cfg)
+    _emit(args.render(data, args.format), args.out)
     return 0
 
 
@@ -217,10 +187,12 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    spec = SimSpec()
     if args.spec is not None:
-        spec = SimSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
-    else:
-        spec = SimSpec()
+        try:
+            spec = SimSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     if args.n is not None:
@@ -252,6 +224,8 @@ def _cmd_validate(args) -> int:
     records = None
     if args.records is not None:
         _, records = load_records(args.records)
+        if not records:
+            raise ValueError(f"{args.records}: no records after the header")
     if manifests is not None and records is not None:
         join_samples(manifests, records)
     parts = []

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .graphhash import HashInput
 from .tolerance import ScalarKind
@@ -153,10 +153,17 @@ class RunRecord:
             raise ValueError("completed record requires compiled_time_s")
         if not completed and self.compiled_time_s is not None:
             raise ValueError("compiled_time_s is only valid for completed records")
-        if self.compiled_time_s is not None and not self.compiled_time_s > 0:
-            raise ValueError(
-                f"compiled_time_s must be positive, got {self.compiled_time_s}"
-            )
+        if self.compiled_time_s is not None:
+            if not self.compiled_time_s > 0:
+                raise ValueError(
+                    f"compiled_time_s must be positive, got {self.compiled_time_s}"
+                )
+            speedup = self.eager_time_s / self.compiled_time_s
+            if not 0 < speedup <= sys.float_info.max:
+                raise ValueError(
+                    "speedup eager_time_s / compiled_time_s must be finite and"
+                    f" positive, got {speedup}"
+                )
         if self.warmup_iters < 0:
             raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
         if self.timed_iters < 1:
@@ -205,11 +212,8 @@ def manifest_from_dict(data: Mapping[str, Any]) -> SampleManifest:
     digest_inputs = None
     if data.get("source_digest_inputs") is not None:
         raw_digest = _expect_object(data, "source_digest_inputs")
-        topology = raw_digest.get("topology")
-        if not isinstance(topology, list):
-            raise ValueError("source_digest_inputs.topology must be a list")
         digest_inputs = HashInput.from_source(
-            _expect_str(raw_digest, "normalized_source"), topology
+            _expect_str(raw_digest, "normalized_source"), _expect_topology(raw_digest)
         )
     return SampleManifest(
         sample_id=_expect_str(data, "sample_id"),
@@ -333,22 +337,7 @@ def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
 def load_manifests(path: str | Path) -> list[SampleManifest]:
     """Load a manifests file: one JSON manifest per line, unique ids."""
     path = Path(path)
-    manifests: list[SampleManifest] = []
-    first_seen: dict[str, int] = {}
-    for lineno, obj in _read_json_lines(path):
-        try:
-            manifest = manifest_from_dict(obj)
-        except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        duplicate = first_seen.get(manifest.sample_id)
-        if duplicate is not None:
-            raise IngestError(
-                f"{path}:{lineno}: duplicate sample_id {manifest.sample_id!r}"
-                f" (first seen at line {duplicate})"
-            )
-        first_seen[manifest.sample_id] = lineno
-        manifests.append(manifest)
-    return manifests
+    return _ingest(path, _read_json_lines(path), manifest_from_dict)
 
 
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
@@ -359,33 +348,17 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     order.
     """
     path = Path(path)
-    header: RecordsHeader | None = None
-    grid: frozenset[float] = frozenset()
-    records: list[RunRecord] = []
-    first_seen: dict[str, int] = {}
-    for lineno, obj in _read_json_lines(path):
-        if header is None:
-            try:
-                header = header_from_dict(obj)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: bad header: {exc}") from exc
-            grid = frozenset(header.grid)
-            continue
+    lines = _read_json_lines(path)
+    for lineno, obj in lines:
         try:
-            record = record_from_dict(obj, grid=grid)
+            header = header_from_dict(obj)
         except ValueError as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        duplicate = first_seen.get(record.sample_id)
-        if duplicate is not None:
-            raise IngestError(
-                f"{path}:{lineno}: duplicate sample_id {record.sample_id!r}"
-                f" (first seen at line {duplicate})"
-            )
-        first_seen[record.sample_id] = lineno
-        records.append(record)
-    if header is None:
+            raise IngestError(f"{path}:{lineno}: bad header: {exc}") from exc
+        break
+    else:
         raise IngestError(f"{path}: missing header line")
-    return header, records
+    grid = frozenset(header.grid)
+    return header, _ingest(path, lines, lambda obj: record_from_dict(obj, grid=grid))
 
 
 def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
@@ -415,10 +388,39 @@ def roundtrip(value: SampleManifest | RunRecord) -> SampleManifest | RunRecord:
     raise TypeError(f"cannot round-trip values of type {type(value).__name__}")
 
 
+_Item = TypeVar("_Item", SampleManifest, RunRecord)
+
+
+def _ingest(
+    path: Path,
+    lines: Iterator[tuple[int, dict[str, Any]]],
+    parse: Callable[[dict[str, Any]], _Item],
+) -> list[_Item]:
+    """Parse every remaining line; sample ids must be unique."""
+    items: list[_Item] = []
+    first_seen: dict[str, int] = {}
+    for lineno, obj in lines:
+        try:
+            item = parse(obj)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from exc
+        duplicate = first_seen.setdefault(item.sample_id, lineno)
+        if duplicate != lineno:
+            raise IngestError(
+                f"{path}:{lineno}: duplicate sample_id {item.sample_id!r}"
+                f" (first seen at line {duplicate})"
+            )
+        items.append(item)
+    return items
+
+
 def _read_json_lines(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise IngestError(f"{path}:{lineno}: invalid UTF-8") from None
             if not stripped:
                 raise IngestError(f"{path}:{lineno}: blank line")
             try:
@@ -463,6 +465,23 @@ def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ValueError(f"{key} must be an object")
     return value
+
+
+def _expect_topology(data: Mapping[str, Any]) -> list:
+    topology = data.get("topology")
+    if not isinstance(topology, list) or not topology or not all(
+        type(entry) is list
+        and len(entry) == 2
+        and type(entry[0]) is str
+        and type(entry[1]) is list
+        # exact type: JSON booleans are ints to isinstance
+        and all(type(i) is int for i in entry[1])
+        for entry in topology
+    ):
+        raise ValueError(
+            "topology must be a nonempty list of [op string, list of integer indices]"
+        )
+    return topology
 
 
 def _is_real(value: Any) -> bool:

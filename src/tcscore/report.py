@@ -14,15 +14,16 @@ import io
 import json
 import math
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import StatsReport
 from .records import RunRecord, SampleManifest
-from .scoring import ScoreConfig, ScoreCurve, classify, join_samples
+from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
 
 __all__ = [
     "CURVE_COLUMNS",
     "TABLE_COLUMNS",
+    "level_row",
     "render_curve",
     "render_stats",
     "render_table",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 TABLE_COLUMNS = ("t", "alpha", "beta", "lambda", "eta", "S(t)", "gamma", "ES(t)")
+# published table column -> level_row key
+_TABLE_KEYS = dict(zip(TABLE_COLUMNS, ("t", "alpha", "beta", "lambda", "eta", "S", "gamma", "ES")))
 
 CURVE_COLUMNS = (
     "t",
@@ -67,85 +70,62 @@ def level_label(t: float) -> str:
     return str(int(t)) if t.is_integer() else repr(t)
 
 
-def table_rows(curve: ScoreCurve) -> list[dict[str, str]]:
-    """Score table rows keyed by the published column names."""
-    rows = []
-    for point in curve.points:
-        comp = point.components
-        rows.append(
-            {
-                "t": level_label(point.t),
-                "alpha": round_half_away(comp.geomean_speedup),
-                "beta": round_half_away(comp.geomean_slowdown),
-                "lambda": round_half_away(comp.correct_fraction),
-                "eta": round_half_away(comp.slowdown_fraction),
-                "S(t)": "-"
-                if point.speedup_score is None
-                else round_half_away(point.speedup_score),
-                "gamma": round_half_away(comp.penalty),
-                "ES(t)": round_half_away(point.error_aware_score),
-            }
-        )
-    return rows
-
-
-def render_table(curve: ScoreCurve, fmt: str = "csv") -> str:
-    rows = table_rows(curve)
-    if fmt == "csv":
-        return _csv(TABLE_COLUMNS, rows)
-    if fmt == "md":
-        return _md(TABLE_COLUMNS, rows)
-    if fmt == "json":
-        payload = []
-        for row in rows:
-            entry: dict[str, Any] = {"t": float(row["t"])}
-            for column in TABLE_COLUMNS[1:]:
-                entry[column] = None if row[column] == "-" else float(row[column])
-            payload.append(entry)
-        return _json(payload)
-    raise ValueError(f"unknown format {fmt!r}")
+def level_row(point: CurvePoint) -> dict[str, Any]:
+    """One level's full-precision fields, keyed by ``CURVE_COLUMNS``."""
+    comp = point.components
+    return {
+        "t": point.t,
+        "total": comp.total,
+        "correct": comp.correct,
+        "slowdowns": comp.slowdowns,
+        "errors": comp.errors,
+        "errors_accuracy": comp.errors_by_code[0],
+        "errors_crash": comp.errors_by_code[1],
+        "errors_compile": comp.errors_by_code[2],
+        "alpha": comp.geomean_speedup,
+        "beta": comp.geomean_slowdown,
+        "lambda": comp.correct_fraction,
+        "eta": comp.slowdown_fraction,
+        "share_accuracy": comp.error_shares[0],
+        "share_crash": comp.error_shares[1],
+        "share_compile": comp.error_shares[2],
+        "gamma": comp.penalty,
+        "S": point.speedup_score,
+        "ES": point.error_aware_score,
+    }
 
 
 def curve_rows(curve: ScoreCurve) -> list[dict[str, Any]]:
     """Full-precision rows with every component and score."""
-    rows = []
-    for point in curve.points:
-        comp = point.components
-        rows.append(
-            {
-                "t": point.t,
-                "total": comp.total,
-                "correct": comp.correct,
-                "slowdowns": comp.slowdowns,
-                "errors": comp.errors,
-                "errors_accuracy": comp.errors_by_code[0],
-                "errors_crash": comp.errors_by_code[1],
-                "errors_compile": comp.errors_by_code[2],
-                "alpha": comp.geomean_speedup,
-                "beta": comp.geomean_slowdown,
-                "lambda": comp.correct_fraction,
-                "eta": comp.slowdown_fraction,
-                "share_accuracy": comp.error_shares[0],
-                "share_crash": comp.error_shares[1],
-                "share_compile": comp.error_shares[2],
-                "gamma": comp.penalty,
-                "S": point.speedup_score,
-                "ES": point.error_aware_score,
-            }
-        )
-    return rows
+    return [level_row(point) for point in curve.points]
+
+
+def table_rows(curve: ScoreCurve) -> list[dict[str, str]]:
+    """Score table rows keyed by the published column names."""
+    return [
+        {column: _table_cell(key, row[key]) for column, key in _TABLE_KEYS.items()}
+        for row in curve_rows(curve)
+    ]
+
+
+def _table_cell(key: str, value: Any) -> str:
+    if key == "t":
+        return level_label(value)
+    return "-" if value is None else round_half_away(value)
+
+
+def render_table(curve: ScoreCurve, fmt: str = "csv") -> str:
+    rows = table_rows(curve)
+    payload = [
+        {column: None if cell == "-" else float(cell) for column, cell in row.items()}
+        for row in rows
+    ]
+    return _render(fmt, payload, (TABLE_COLUMNS, rows))
 
 
 def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
     rows = curve_rows(curve)
-    if fmt == "json":
-        return _json(rows)
-    if fmt in ("csv", "md"):
-        cells = [
-            {column: _plain(row[column]) for column in CURVE_COLUMNS} for row in rows
-        ]
-        return _csv(CURVE_COLUMNS, cells) if fmt == "csv" else _md(CURVE_COLUMNS, cells)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _render(fmt, rows, (CURVE_COLUMNS, rows))
 
 
 def violin_data(
@@ -174,63 +154,60 @@ def violin_data(
 
 
 def render_violin(groups: Mapping[tuple[str, str], Sequence[float]], fmt: str = "json") -> str:
-    if fmt == "json":
-        return _json(
-            [
-                {
-                    "framework": framework,
-                    "task_category": category,
-                    "log2_speedups": list(values),
-                }
-                for (framework, category), values in groups.items()
-            ]
-        )
-    if fmt in ("csv", "md"):
-        columns = ("framework", "task_category", "log2_speedups")
-        rows = [
-            {
-                "framework": framework,
-                "task_category": category,
-                "log2_speedups": ";".join(_plain(v) for v in values),
-            }
-            for (framework, category), values in groups.items()
-        ]
-        return _csv(columns, rows) if fmt == "csv" else _md(columns, rows)
-    raise ValueError(f"unknown format {fmt!r}")
+    payload = [
+        {"framework": framework, "task_category": category, "log2_speedups": list(values)}
+        for (framework, category), values in groups.items()
+    ]
+    rows = (
+        {**entry, "log2_speedups": ";".join(map(_plain, entry["log2_speedups"]))}
+        for entry in payload
+    )
+    return _render(fmt, payload, (("framework", "task_category", "log2_speedups"), rows))
 
 
 def render_stats(report: StatsReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return _json(
-            {
-                "total": report.total,
-                "category_counts": dict(report.category_counts),
-                "category_shares": dict(report.category_shares),
-                "opcount_histograms": {
-                    category: {str(bin_exp): count for bin_exp, count in hist.items()}
-                    for category, hist in report.opcount_histograms.items()
-                },
-            }
-        )
-    if fmt in ("csv", "md"):
-        share_columns = ("category", "count", "share_percent")
-        share_rows = [
-            {
-                "category": category,
-                "count": str(report.category_counts[category]),
-                "share_percent": _plain(report.category_shares[category]),
-            }
-            for category in report.category_counts
-        ]
-        hist_columns = ("category", "bin_exponent", "count")
-        hist_rows = [
-            {"category": category, "bin_exponent": str(bin_exp), "count": str(count)}
+    payload = {
+        "total": report.total,
+        "category_counts": dict(report.category_counts),
+        "category_shares": dict(report.category_shares),
+        "opcount_histograms": {
+            category: {str(bin_exp): count for bin_exp, count in hist.items()}
             for category, hist in report.opcount_histograms.items()
-            for bin_exp, count in hist.items()
-        ]
-        if fmt == "csv":
-            return _csv(share_columns, share_rows) + "\n" + _csv(hist_columns, hist_rows)
-        return _md(share_columns, share_rows) + "\n" + _md(hist_columns, hist_rows)
+        },
+    }
+    share_rows = (
+        {
+            "category": category,
+            "count": count,
+            "share_percent": report.category_shares[category],
+        }
+        for category, count in report.category_counts.items()
+    )
+    hist_rows = (
+        {"category": category, "bin_exponent": bin_exp, "count": count}
+        for category, hist in report.opcount_histograms.items()
+        for bin_exp, count in hist.items()
+    )
+    return _render(
+        fmt,
+        payload,
+        (("category", "count", "share_percent"), share_rows),
+        (("category", "bin_exponent", "count"), hist_rows),
+    )
+
+
+_Table = tuple[Sequence[str], Iterable[Mapping[str, Any]]]
+
+
+def _render(fmt: str, payload: Any, *tables: _Table) -> str:
+    """The one format switch: ``payload`` as JSON, or ``tables`` as CSV or
+    Markdown, separated by blank lines."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return "\n".join(_csv(columns, rows) for columns, rows in tables)
+    if fmt == "md":
+        return "\n".join(_md(columns, rows) for columns, rows in tables)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -242,24 +219,21 @@ def _plain(value: Any) -> str:
     return str(value)
 
 
-def _csv(columns: Sequence[str], rows: Sequence[Mapping[str, str]]) -> str:
+def _csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([row[column] for column in columns])
+        writer.writerow([_plain(row[column]) for column in columns])
     return buffer.getvalue()
 
 
-def _md(columns: Sequence[str], rows: Sequence[Mapping[str, str]]) -> str:
+def _md(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     lines = [
         "| " + " | ".join(columns) + " |",
         "| " + " | ".join("---" for _ in columns) + " |",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(str(row[column]) for column in columns) + " |")
+        lines.append("| " + " | ".join(_plain(row[column]) for column in columns) + " |")
     return "\n".join(lines) + "\n"
 
-
-def _json(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"

@@ -20,6 +20,7 @@ from .records import (
     CompileFailure,
     Completed,
     RecordsHeader,
+    RunOutcome,
     RunRecord,
     RuntimeCrash,
     SampleManifest,
@@ -258,52 +259,29 @@ def simulate(
         warmup = int(rng.integers(1, 11))
         timed = int(rng.integers(10, 101))
         fate = float(rng.random())
+        compiled = None
         if fate < rates.compile_failure:
-            records.append(
-                RunRecord(
-                    sample_id,
-                    eager,
-                    CompileFailure("synthetic compile failure"),
-                    warmup_iters=warmup,
-                    timed_iters=timed,
-                )
-            )
-            continue
-        if fate < rates.compile_failure + rates.runtime_crash:
-            records.append(
-                RunRecord(
-                    sample_id,
-                    eager,
-                    RuntimeCrash("synthetic runtime crash"),
-                    warmup_iters=warmup,
-                    timed_iters=timed,
-                )
-            )
-            continue
-        wrong = fate < rates.compile_failure + rates.runtime_crash + rates.accuracy_violation
-        speedup = 2.0 ** rng.normal(spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev)
-        comparisons = []
-        for index, kind in enumerate(output_kinds):
-            baseline = rng.uniform(0.5, 1.5, size=_OUTPUT_LEN)
-            if wrong:
-                # Shift beyond the level-0 bound (1 + |y|, |y| <= 1.5).
-                candidate = baseline + 4.0 + float(rng.random())
-            else:
-                magnitude = spec.noise_law.get(kind, 0.0) * 10.0 ** float(
-                    rng.uniform(-2.0, 2.0)
-                )
-                candidate = baseline + rng.uniform(-1.0, 1.0, size=_OUTPUT_LEN) * magnitude
-            comparisons.append(compare_outputs(candidate, baseline, kind, numeric_grid, index))
-        records.append(
-            RunRecord(
-                sample_id,
-                eager,
-                Completed(tuple(comparisons)),
-                compiled_time_s=eager / speedup,
-                warmup_iters=warmup,
-                timed_iters=timed,
-            )
-        )
+            outcome: RunOutcome = CompileFailure("synthetic compile failure")
+        elif fate < rates.compile_failure + rates.runtime_crash:
+            outcome = RuntimeCrash("synthetic runtime crash")
+        else:
+            wrong = fate < rates.compile_failure + rates.runtime_crash + rates.accuracy_violation
+            speedup = 2.0 ** rng.normal(spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev)
+            comparisons = []
+            for index, kind in enumerate(output_kinds):
+                baseline = rng.uniform(0.5, 1.5, size=_OUTPUT_LEN)
+                if wrong:
+                    # Shift beyond the level-0 bound (1 + |y|, |y| <= 1.5).
+                    candidate = baseline + 4.0 + float(rng.random())
+                else:
+                    magnitude = spec.noise_law.get(kind, 0.0) * 10.0 ** float(
+                        rng.uniform(-2.0, 2.0)
+                    )
+                    candidate = baseline + rng.uniform(-1.0, 1.0, size=_OUTPUT_LEN) * magnitude
+                comparisons.append(compare_outputs(candidate, baseline, kind, numeric_grid, index))
+            outcome = Completed(tuple(comparisons))
+            compiled = eager / speedup
+        records.append(RunRecord(sample_id, eager, outcome, compiled, warmup, timed))
     return manifests, records
 
 

@@ -185,6 +185,9 @@ def test_load_records_validation_errors_located(tmp_path):
         (2, "eager_time_s", 10**400),
         (2, "compiled_time_s", math.nan),
         (2, "min_passing_t", -math.inf),
+        # value = (eager_time_s, compiled_time_s): each finite, the ratio not
+        (2, "speedup", (1e308, 0.01)),
+        (2, "speedup", (1e-300, 1e300)),
     ],
 )
 def test_load_records_rejects_non_finite_numbers(tmp_path, capsys, lineno, field, value):
@@ -194,12 +197,46 @@ def test_load_records_rejects_non_finite_numbers(tmp_path, capsys, lineno, field
     target = {1: header, 2: record}[lineno]
     if field == "min_passing_t":
         target = record["outcome"]["comparisons"][0]
-    target[field] = value
+    if field == "speedup":
+        record["eager_time_s"], record["compiled_time_s"] = value
+    else:
+        target[field] = value
     path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(IngestError, match=rf"r\.jsonl:{lineno}: .*{field}"):
         load_records(path)
     assert main(["validate", "--records", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:{lineno}: ")
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [[["mul", "0"]], [["mul", [0.7]]], [["mul", [True]]], [], [["mul"]], ["mul"], [[1, [0]]], {}],
+)
+def test_load_manifests_rejects_malformed_topology(tmp_path, capsys, topology):
+    path = tmp_path / "m.jsonl"
+    digest_inputs = HashInput.from_source("x1 = mul(x0)", [("mul", (0,))])
+    write_manifests(path, [make_manifest("a", source_digest_inputs=digest_inputs)])
+    data = json.loads(path.read_text())
+    data["source_digest_inputs"]["topology"] = topology
+    path.write_text(json.dumps(data) + "\n")
+    with pytest.raises(IngestError, match=r"m\.jsonl:1: topology must be"):
+        load_manifests(path)
+    for command in ("validate", "dedup", "stats"):
+        out = ["--out", str(tmp_path / "out.jsonl")] if command == "dedup" else []
+        assert main([command, "--manifests", str(path), *out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: topology must be")
+
+
+def test_load_rejects_invalid_utf8_naming_the_line(tmp_path):
+    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
+    write_manifests(m_path, [make_manifest("a")])
+    write_records(r_path, HEADER, [make_record("a")])
+    for path, load in ((m_path, load_manifests), (r_path, load_records)):
+        with path.open("ab") as fh:
+            fh.write(b'{"sample_id": "\xff"}\n')
+        lineno = len(path.read_bytes().splitlines())
+        with pytest.raises(IngestError, match=rf"jsonl:{lineno}: invalid UTF-8"):
+            load(path)
 
 
 def test_load_records_rejects_off_grid_level(tmp_path):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tcscore
 from tcscore.cli import main
 from tcscore.records import (
     CompileFailure,
@@ -217,6 +220,8 @@ def test_cli_score_empty_records_fails(tmp_path, capsys):
     code = main(["score", "--records", str(r_path), "--t", "0"])
     assert code == 1
     assert "no samples" in capsys.readouterr().err
+    assert main(["validate", "--records", str(r_path)]) == 1
+    assert capsys.readouterr().err == f"error: {r_path}: no records after the header\n"
 
 
 def test_cli_score_off_grid_level_fails(tmp_path, capsys):
@@ -256,7 +261,16 @@ def test_cli_simulate_rejects_malformed_spec(tmp_path, capsys, spec):
     outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(tmp_path / "r.jsonl")]
     assert main(["simulate", "--spec", str(spec_path), *outputs]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {spec_path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [b"{seed: 1}", b'{"seed": 1', b"", b'{"framework": "\xff"}'])
+def test_cli_simulate_unreadable_spec_names_the_file(tmp_path, capsys, text):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(text)
+    outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(tmp_path / "r.jsonl")]
+    assert main(["simulate", "--spec", str(spec_path), *outputs]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec_path}: ")
 
 
 def test_cli_validate_reports_duplicate_lines(tmp_path, capsys):
@@ -341,6 +355,9 @@ def test_cli_missing_file_is_data_error(capsys):
 def test_cli_subprocess_entrypoint(tmp_path):
     m_path = tmp_path / "m.jsonl"
     r_path = tmp_path / "r.jsonl"
+    # The child must import the same tcscore package as this process.
+    paths = [str(Path(tcscore.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
         [
             sys.executable,
@@ -358,17 +375,19 @@ def test_cli_subprocess_entrypoint(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     result = subprocess.run(
         [sys.executable, "-m", "tcscore", "validate", "--manifests", str(m_path), "--records", str(r_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("ok:")
     result = subprocess.run(
-        [sys.executable, "-m", "tcscore", "nope"], capture_output=True, text=True
+        [sys.executable, "-m", "tcscore", "nope"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 2
 
