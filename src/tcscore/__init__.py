@@ -15,7 +15,6 @@ from .records import (
     TensorComparison,
     load_manifests,
     load_records,
-    roundtrip,
     write_manifests,
     write_records,
 )
@@ -45,7 +44,6 @@ from .tolerance import (
     ScalarKind,
     ToleranceRule,
     atol,
-    element_close,
     load_rules,
     min_passing_tolerance,
     rtol,

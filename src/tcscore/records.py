@@ -33,7 +33,6 @@ __all__ = [
     "TensorComparison",
     "load_manifests",
     "load_records",
-    "roundtrip",
     "write_manifests",
     "write_records",
 ]
@@ -343,9 +342,9 @@ def load_manifests(path: str | Path) -> list[SampleManifest]:
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     """Load a records file: the header line plus one record per line.
 
-    Each record's min_passing_t values must lie on the header's declared
-    grid. Returns the parsed header together with the records in file
-    order.
+    The header grid must contain level 0, and each record's min_passing_t
+    values must lie on it. Returns the parsed header together with the
+    records in file order.
     """
     path = Path(path)
     lines = _read_json_lines(path)
@@ -357,6 +356,9 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
         break
     else:
         raise IngestError(f"{path}: missing header line")
+    if 0.0 not in header.grid:
+        # `violin` and the default `score` read level 0.
+        raise IngestError(f"{path}:{lineno}: header grid must contain level 0")
     grid = frozenset(header.grid)
     return header, _ingest(path, lines, lambda obj: record_from_dict(obj, grid=grid))
 
@@ -377,15 +379,6 @@ def write_records(
             yield record_to_dict(record)
 
     _write_json_lines(path, lines())
-
-
-def roundtrip(value: SampleManifest | RunRecord) -> SampleManifest | RunRecord:
-    """Serialize a manifest or record to JSON text and parse it back."""
-    if isinstance(value, SampleManifest):
-        return manifest_from_dict(json.loads(json.dumps(manifest_to_dict(value))))
-    if isinstance(value, RunRecord):
-        return record_from_dict(json.loads(json.dumps(record_to_dict(value))))
-    raise TypeError(f"cannot round-trip values of type {type(value).__name__}")
 
 
 _Item = TypeVar("_Item", SampleManifest, RunRecord)

@@ -82,13 +82,10 @@ class ScoreConfig:
 
     @classmethod
     def from_header(cls, header: RecordsHeader) -> "ScoreConfig":
-        """Adopt a records-file header; defaults fill an absent side."""
-        defaults = cls().grid
+        """Adopt a records-file header; default levels > 0 fill in if it has none."""
         grid = header.grid
-        if grid[0] > 0:
-            grid = tuple(t for t in defaults if t <= 0) + grid
         if grid[-1] <= 0:
-            grid += tuple(t for t in defaults if t > 0)
+            grid += tuple(t for t in cls().grid if t > 0)
         return cls(header.p, header.b, grid)
 
 

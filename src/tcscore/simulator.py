@@ -3,8 +3,9 @@
 Stands in for running real frameworks and compilers: per-sample speedups,
 operator counts, and output perturbations are drawn from configurable
 laws, producing a manifests/records pair that exercises the full scoring
-pipeline. All draws come from one fixed-seed PCG64 stream in a fixed
-order, so a given spec maps to byte-identical output files.
+pipeline. All draws come from one fixed-seed PCG64 stream, block by
+block in a fixed order, so a given spec maps to byte-identical output
+files.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ _OP_VOCAB = (
 )
 _BINARY_OPS = frozenset({"matmul", "add", "mul"})
 _OUTPUT_LEN = 16
+# Samples per block: each block draws its random values as arrays and
+# scores its comparisons with one min_passing_tolerance call per kind.
+# A fixed size keeps the output bytes a function of the spec alone.
+BLOCK = 256
 
 DEFAULT_CATEGORY_MIX: Mapping[TaskCategory, float] = {
     TaskCategory.CV: 0.478,
@@ -213,85 +218,135 @@ def simulate(
     injected noise through the tolerance schedules; accuracy-violation
     samples carry comparisons that never pass; crashes and compile
     failures carry the corresponding outcome and no compiled time.
+
+    Samples are drawn in blocks of ``BLOCK``; see ``_simulate_block`` for
+    the order of the draws within a block.
     """
     cfg = cfg or ScoreConfig()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    categories = list(spec.category_mix)
-    weights = np.array([spec.category_mix[c] for c in categories], dtype=float)
-    probs = weights / weights.sum()
-    kinds = list(spec.noise_law)
-    rates = spec.error_rates
     numeric_grid = tuple(t for t in cfg.grid if t <= 0)
-
     manifests: list[SampleManifest] = []
     records: list[RunRecord] = []
-    for i in range(spec.n_samples):
+    for start in range(0, spec.n_samples, BLOCK):
+        ids = range(start, min(start + BLOCK, spec.n_samples))
+        block_manifests, block_records = _simulate_block(rng, spec, numeric_grid, ids)
+        manifests += block_manifests
+        records += block_records
+    return manifests, records
+
+
+def _simulate_block(
+    rng: np.random.Generator,
+    spec: SimSpec,
+    grid: tuple[float, ...],
+    ids: range,
+) -> tuple[list[SampleManifest], list[RunRecord]]:
+    """Draw and score the samples numbered ``ids``.
+
+    Every value is drawn as one array per block, in this order: category,
+    log2 op count, parameter multiplier, output count, output kinds, eager
+    time, warmup iterations, timed iterations, fate, log2 speedup, graph
+    depth, graph ops, output baselines, noise exponents, noise and
+    wrong-output shifts. Per-output arrays hold one row per output of the
+    block, in sample order; speedups and outputs are drawn for every
+    sample, whatever its fate. The comparisons are then scored with one
+    ``min_passing_tolerance`` call per output kind.
+    """
+    n = len(ids)
+    categories = list(spec.category_mix)
+    weights = np.array([spec.category_mix[c] for c in categories], dtype=float)
+    kinds = list(spec.noise_law)
+    rates = spec.error_rates
+    crash_below = rates.compile_failure + rates.runtime_crash
+    wrong_below = crash_below + rates.accuracy_violation
+
+    category = rng.choice(len(categories), size=n, p=weights / weights.sum())
+    opcount = np.rint(
+        2.0 ** rng.normal(spec.opcount_law.log2_mean, spec.opcount_law.log2_stddev, size=n)
+    )
+    multiplier = rng.integers(100, 5000, size=n)
+    output_count = rng.integers(1, 4, size=n)
+    kind_index = rng.integers(len(kinds), size=int(output_count.sum()))
+    eager = rng.lognormal(math.log(0.01), 0.5, size=n)
+    warmup = rng.integers(1, 11, size=n)
+    timed = rng.integers(10, 101, size=n)
+    fate = rng.random(n)
+    speedup = 2.0 ** rng.normal(
+        spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev, size=n
+    )
+    depth = rng.integers(3, 9, size=n)
+    op_index = rng.integers(len(_OP_VOCAB), size=int(depth.sum()))
+    outputs = len(kind_index)
+    baseline = rng.uniform(0.5, 1.5, size=(outputs, _OUTPUT_LEN))
+    exponent = rng.uniform(-2.0, 2.0, size=outputs)
+    noise = rng.uniform(-1.0, 1.0, size=(outputs, _OUTPUT_LEN))
+    shift = rng.random(outputs)
+
+    output_fate = np.repeat(fate, output_count)
+    magnitude = np.array([spec.noise_law[k] for k in kinds])[kind_index] * 10.0**exponent
+    candidate = np.where(
+        (output_fate < wrong_below)[:, None],
+        # Shift beyond the level-0 bound (1 + |y|, |y| <= 1.5).
+        baseline + 4.0 + shift[:, None],
+        baseline + noise * magnitude[:, None],
+    )
+    levels: list[float | None] = [None] * outputs
+    completed = output_fate >= crash_below
+    for k, kind in enumerate(kinds):
+        rows = np.flatnonzero(completed & (kind_index == k))
+        passing = min_passing_tolerance(candidate[rows], baseline[rows], kind, grid)
+        for row, level in zip(rows.tolist(), passing):
+            levels[row] = level
+
+    output_kinds = [kinds[k] for k in kind_index.tolist()]
+    op_names = [_OP_VOCAB[o] for o in op_index.tolist()]
+    columns = (category, opcount, multiplier, output_count, eager, warmup, timed, fate, speedup, depth)
+    manifests: list[SampleManifest] = []
+    records: list[RunRecord] = []
+    first_output = first_op = 0
+    for i, cat, ops, mult, count, eager_s, warm, iters, fate_i, gain, size in zip(
+        ids, *(column.tolist() for column in columns)
+    ):
         sample_id = f"s{i:05d}"
-        category = categories[int(rng.choice(len(categories), p=probs))]
-        opcount = max(
-            1,
-            int(
-                round(
-                    2.0 ** rng.normal(spec.opcount_law.log2_mean, spec.opcount_law.log2_stddev)
-                )
-            ),
+        sample_kinds = output_kinds[first_output : first_output + count]
+        operator_count = max(1, int(ops))
+        digest_inputs = HashInput.from_source(
+            *_synthesize_graph(sample_id, operator_count, op_names[first_op : first_op + size])
         )
-        parameter_count = opcount * int(rng.integers(100, 5000))
-        output_kinds = [
-            kinds[int(rng.integers(len(kinds)))]
-            for _ in range(int(rng.integers(1, 4)))
-        ]
-        digest_inputs = HashInput.from_source(*_synthesize_graph(rng, sample_id, opcount))
         manifests.append(
             SampleManifest(
                 sample_id=sample_id,
                 framework=spec.framework,
-                task_category=category,
-                operator_count=opcount,
+                task_category=categories[cat],
+                operator_count=operator_count,
                 graph_hash=graph_hash(digest_inputs),
-                dtypes=frozenset(output_kinds),
-                parameter_count=parameter_count,
+                dtypes=frozenset(sample_kinds),
+                parameter_count=operator_count * mult,
                 source_digest_inputs=digest_inputs,
             )
         )
-
-        eager = float(rng.lognormal(math.log(0.01), 0.5))
-        warmup = int(rng.integers(1, 11))
-        timed = int(rng.integers(10, 101))
-        fate = float(rng.random())
         compiled = None
-        if fate < rates.compile_failure:
+        if fate_i < rates.compile_failure:
             outcome: RunOutcome = CompileFailure("synthetic compile failure")
-        elif fate < rates.compile_failure + rates.runtime_crash:
+        elif fate_i < crash_below:
             outcome = RuntimeCrash("synthetic runtime crash")
         else:
-            wrong = fate < rates.compile_failure + rates.runtime_crash + rates.accuracy_violation
-            speedup = 2.0 ** rng.normal(spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev)
-            comparisons = []
-            for index, kind in enumerate(output_kinds):
-                baseline = rng.uniform(0.5, 1.5, size=_OUTPUT_LEN)
-                if wrong:
-                    # Shift beyond the level-0 bound (1 + |y|, |y| <= 1.5).
-                    candidate = baseline + 4.0 + float(rng.random())
-                else:
-                    magnitude = spec.noise_law.get(kind, 0.0) * 10.0 ** float(
-                        rng.uniform(-2.0, 2.0)
-                    )
-                    candidate = baseline + rng.uniform(-1.0, 1.0, size=_OUTPUT_LEN) * magnitude
-                comparisons.append(compare_outputs(candidate, baseline, kind, numeric_grid, index))
-            outcome = Completed(tuple(comparisons))
-            compiled = eager / speedup
-        records.append(RunRecord(sample_id, eager, outcome, compiled, warmup, timed))
+            outcome = Completed(
+                tuple(
+                    TensorComparison(index, kind, levels[first_output + index])
+                    for index, kind in enumerate(sample_kinds)
+                )
+            )
+            compiled = eager_s / gain
+        records.append(RunRecord(sample_id, eager_s, outcome, compiled, warm, iters))
+        first_output += count
+        first_op += size
     return manifests, records
 
 
-def _synthesize_graph(
-    rng: np.random.Generator, sample_id: str, opcount: int
-) -> tuple[str, Topology]:
-    depth = int(rng.integers(3, 9))
+def _synthesize_graph(sample_id: str, opcount: int, ops: list[str]) -> tuple[str, Topology]:
     nodes = []
-    for k in range(depth):
-        op = _OP_VOCAB[int(rng.integers(len(_OP_VOCAB)))]
+    for k, op in enumerate(ops):
         if op in _BINARY_OPS and k >= 2:
             inputs: tuple[int, ...] = (k - 1, k - 2)
         elif k >= 1:

@@ -1,4 +1,4 @@
-"""Dtype-dependent numeric tolerance schedules and closeness checks.
+"""Dtype-dependent numeric tolerance schedules and the minimal passing level.
 
 Numeric strictness is a single level t <= 0. Each scalar kind maps the
 level to absolute and relative thresholds through a log-linear schedule
@@ -9,7 +9,6 @@ pair of outputs that passes at some level passes at every looser one.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,7 +21,6 @@ __all__ = [
     "ScalarKind",
     "ToleranceRule",
     "atol",
-    "element_close",
     "load_rules",
     "min_passing_tolerance",
     "rtol",
@@ -155,52 +153,35 @@ def _threshold(
     return 10.0 ** (slope * t)
 
 
-def element_close(x, y, atol: float, rtol: float) -> bool:
-    """Inclusive elementwise check: |x - y| <= atol + rtol * |y|.
-
-    ``y`` is the reference element. Complex values compare through the
-    modulus of the difference and of y. Non-finite values are close only
-    to an identical non-finite value: NaN matches NaN and infinities must
-    agree in sign, per component for complex values.
-    """
-    if not (_finite(x) and _finite(y)):
-        cx, cy = complex(x), complex(y)
-        return _component_match(cx.real, cy.real) and _component_match(cx.imag, cy.imag)
-    return abs(x - y) <= atol + rtol * abs(y)
-
-
-def _finite(value) -> bool:
-    c = complex(value)
-    return math.isfinite(c.real) and math.isfinite(c.imag)
-
-
-def _component_match(a: float, b: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b
-
-
 def min_passing_tolerance(
     x: Sequence,
     y: Sequence,
     kind: ScalarKind,
     grid: Sequence[float],
     rules: Mapping[ScalarKind, ToleranceRule] | None = None,
-) -> float | None:
+) -> float | None | list[float | None]:
     """Smallest grid level at which every element pair is close.
 
-    ``grid`` must be strictly ascending with all levels <= 0. Returns
-    None when some pair still fails at the loosest level. Both thresholds
-    are nondecreasing in t, so passing is monotone and the ascending scan
-    stops at the boundary.
+    Elements pair up as x against the reference y and are close at level
+    t when |x - y| <= atol(t) + rtol(t) * |y|; complex values use the
+    modulus. A non-finite element must be matched exactly by its partner
+    (NaN matches NaN, infinities agree in sign, per component) and then
+    takes no part in the check; otherwise the pair never passes.
+
+    ``x`` and ``y`` are 1-d (one output pair, returning a level or None)
+    or 2-d ``(rows, elements)`` stacks (returning one level or None per
+    row). ``grid`` must be strictly ascending with all levels <= 0.
+    Both thresholds are nondecreasing in t, so passing is monotone: one
+    ascending walk over the levels settles every row, dropping the rows
+    that pass at each level.
     """
     lhs = np.asarray(x)
     rhs = np.asarray(y)
-    if lhs.ndim != 1 or rhs.ndim != 1 or lhs.shape != rhs.shape:
+    if lhs.ndim not in (1, 2) or lhs.shape != rhs.shape:
         raise ValueError(
-            f"element sequences must be 1-d and equal length, got {lhs.shape} vs {rhs.shape}"
+            f"element arrays must be 1-d or 2-d with equal shapes, got {lhs.shape} vs {rhs.shape}"
         )
-    if lhs.size == 0:
+    if lhs.shape[-1] == 0:
         raise ValueError("element sequences must be nonempty")
     levels = [float(t) for t in grid]
     if not levels:
@@ -210,22 +191,27 @@ def min_passing_tolerance(
     if levels[-1] > 0:
         raise ValueError("tolerance grid levels must be <= 0")
 
+    single = lhs.ndim == 1
+    lhs, rhs = np.atleast_2d(lhs, rhs)
     finite = np.isfinite(lhs) & np.isfinite(rhs)
-    if not bool(finite.all()):
-        bad_lhs = lhs[~finite]
-        bad_rhs = rhs[~finite]
-        same = _nan_equal(bad_lhs.real, bad_rhs.real) & _nan_equal(bad_lhs.imag, bad_rhs.imag)
-        if not bool(same.all()):
-            return None
-        lhs = lhs[finite]
-        rhs = rhs[finite]
+    matched = _nan_equal(lhs.real, rhs.real) & _nan_equal(lhs.imag, rhs.imag)
+    # Matched non-finite pairs become 0 against 0, which passes at every level.
+    lhs, rhs = np.where(finite, lhs, 0), np.where(finite, rhs, 0)
     diff = np.abs(lhs - rhs)
     magnitude = np.abs(rhs)
+    passing: list[float | None] = [None] * len(lhs)
+    pending = np.flatnonzero(np.all(finite | matched, axis=1))
+    diff, magnitude = diff[pending], magnitude[pending]
     for t in levels:
+        if not pending.size:
+            break
         bound = atol(kind, t, rules) + rtol(kind, t, rules) * magnitude
-        if bool(np.all(diff <= bound)):
-            return t
-    return None
+        passed = np.all(diff <= bound, axis=1)
+        for row in pending[passed].tolist():
+            passing[row] = t
+        failing = ~passed
+        pending, diff, magnitude = pending[failing], diff[failing], magnitude[failing]
+    return passing[0] if single else passing
 
 
 def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

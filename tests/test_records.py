@@ -22,7 +22,10 @@ from tcscore.records import (
     TensorComparison,
     load_manifests,
     load_records,
-    roundtrip,
+    manifest_from_dict,
+    manifest_to_dict,
+    record_from_dict,
+    record_to_dict,
     write_manifests,
     write_records,
 )
@@ -30,6 +33,15 @@ from tcscore.tolerance import ScalarKind
 
 GRID = tuple(float(t) for t in range(-10, 1)) + (1.0, 2.0, 3.0, 4.0)
 HEADER = RecordsHeader(grid=GRID, p=0.1, b=0.1, producer="test")
+
+
+def roundtrip(value: SampleManifest | RunRecord) -> SampleManifest | RunRecord:
+    """Serialize a manifest or record to JSON text and parse it back."""
+    if isinstance(value, SampleManifest):
+        return manifest_from_dict(json.loads(json.dumps(manifest_to_dict(value))))
+    if isinstance(value, RunRecord):
+        return record_from_dict(json.loads(json.dumps(record_to_dict(value))))
+    raise TypeError(f"cannot round-trip values of type {type(value).__name__}")
 
 
 def make_manifest(sample_id="a", **overrides) -> SampleManifest:
@@ -246,6 +258,19 @@ def test_load_records_rejects_off_grid_level(tmp_path):
         load_records(path)
 
 
+def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
+    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
+    write_manifests(m_path, [make_manifest("a")])
+    header = RecordsHeader(tuple(t for t in GRID if t != 0.0), 0.1, 0.1, "test")
+    write_records(r_path, header, [make_record("a", levels=(-4.0,))])
+    message = f"{r_path}:1: header grid must contain level 0"
+    with pytest.raises(IngestError, match=r"r\.jsonl:1: header grid must contain level 0"):
+        load_records(r_path)
+    for command in ("validate", "report", "violin", "score"):
+        assert main([command, "--records", str(r_path), "--manifests", str(m_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_records_duplicate_id(tmp_path):
     path = tmp_path / "r.jsonl"
     lines = [
@@ -259,8 +284,6 @@ def test_load_records_duplicate_id(tmp_path):
 
 
 def _record_lines(records):
-    from tcscore.records import record_to_dict
-
     return [json.dumps(record_to_dict(r)) for r in records]
 
 

@@ -7,6 +7,7 @@ import statistics
 
 import pytest
 
+import tcscore.simulator
 from tcscore.records import Completed, CompileFailure, RuntimeCrash
 from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
@@ -114,6 +115,22 @@ def test_compare_outputs_examples():
     assert broken.min_passing_t is None
     with pytest.raises(ValueError):
         compare_outputs([1.0, 2.0], [1.0], ScalarKind.FLOAT32, grid)
+
+
+def test_simulate_scores_each_block_with_one_call_per_kind(monkeypatch):
+    scan = tcscore.simulator.min_passing_tolerance
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(tcscore.simulator, "min_passing_tolerance", counted)
+    spec = SimSpec(seed=19, n_samples=1000)
+    _, records = simulate(spec, CFG)
+    blocks = math.ceil(spec.n_samples / tcscore.simulator.BLOCK)
+    assert 0 < len(calls) <= blocks * len(spec.noise_law)
+    assert sum(isinstance(r.outcome, Completed) for r in records) > len(calls)
 
 
 def test_injected_noise_spreads_min_passing_levels():

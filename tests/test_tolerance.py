@@ -1,9 +1,16 @@
-"""Tolerance schedule and closeness checks."""
+"""Tolerance schedules and the minimal passing level.
+
+``element_close`` below is a scalar oracle: it states the closeness rule
+one element pair at a time, in plain Python, and ``scan_levels`` walks
+the grid with it. The vectorized ``min_passing_tolerance`` must agree
+with that scan on every row of any stack.
+"""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,13 +18,46 @@ from tcscore.tolerance import (
     DEFAULT_RULES,
     ScalarKind,
     atol,
-    element_close,
     load_rules,
     min_passing_tolerance,
     rtol,
 )
 
 GRID = [float(t) for t in range(-10, 1)]
+
+
+def element_close(x, y, atol: float, rtol: float) -> bool:
+    """Inclusive elementwise check: |x - y| <= atol + rtol * |y|.
+
+    ``y`` is the reference element. Complex values compare through the
+    modulus of the difference and of y. Non-finite values are close only
+    to an identical non-finite value: NaN matches NaN and infinities must
+    agree in sign, per component for complex values.
+    """
+    if not (_finite(x) and _finite(y)):
+        cx, cy = complex(x), complex(y)
+        return _component_match(cx.real, cy.real) and _component_match(cx.imag, cy.imag)
+    return abs(x - y) <= atol + rtol * abs(y)
+
+
+def _finite(value) -> bool:
+    c = complex(value)
+    return math.isfinite(c.real) and math.isfinite(c.imag)
+
+
+def _component_match(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b
+
+
+def scan_levels(xs, ys, kind: ScalarKind, grid=GRID) -> float | None:
+    """First grid level at which every pair is close, one pair at a time."""
+    for t in grid:
+        a, r = atol(kind, t), rtol(kind, t)
+        if all(element_close(x, y, a, r) for x, y in zip(xs, ys)):
+            return t
+    return None
 
 # (kind, atol(-5), atol(0), rtol(-5), rtol(0)); rounded entries checked
 # to two significant figures below.
@@ -163,13 +203,71 @@ def test_min_passing_matches_elementwise_scan():
     xs = [1.0, 1.5 + 3e-4, 0.75, -2.0]
     ys = [1.0, 1.5, 0.75 + 1e-7, -2.0 + 5e-2]
     for kind in (ScalarKind.FLOAT32, ScalarKind.FLOAT16, ScalarKind.FLOAT64):
-        expected = None
-        for t in GRID:
-            a, r = atol(kind, t), rtol(kind, t)
-            if all(element_close(x, y, a, r) for x, y in zip(xs, ys)):
-                expected = t
-                break
-        assert min_passing_tolerance(xs, ys, kind, GRID) == expected
+        assert min_passing_tolerance(xs, ys, kind, GRID) == scan_levels(xs, ys, kind)
+
+
+NAN, INF = float("nan"), float("inf")
+# Finite pairs: a reference y and x = y + sign * 10**e (or x = y), so rows
+# land on every level of the grid as well as past its loosest one.
+_FINITE_PAIR = st.builds(
+    lambda y, step, sign: (y + sign * step, y),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from([0.0] + [10.0**e for e in range(-12, 2)]),
+    st.sampled_from([-1.0, 1.0]),
+)
+# Non-finite pairs, either way round: matched ((nan, nan), (inf, inf), ...)
+# are skipped; mismatched ((inf, -inf), (nan, 1.0), ...) fail their row.
+_SPECIAL_PAIR = st.tuples(
+    st.sampled_from([NAN, INF, -INF, 1.0]), st.sampled_from([NAN, INF, -INF])
+).flatmap(lambda pair: st.sampled_from([pair, pair[::-1]]))
+_REAL_PAIR = st.one_of(*[_FINITE_PAIR] * 5, _SPECIAL_PAIR)
+_COMPLEX_PAIR = st.builds(
+    lambda re, im: (complex(re[0], im[0]), complex(re[1], im[1])), _REAL_PAIR, _REAL_PAIR
+)
+
+
+@st.composite
+def stacks(draw):
+    """A ``(rows, elements)`` pair of stacks, real or complex, as nested lists."""
+    width = draw(st.integers(min_value=1, max_value=6))
+    pair = _COMPLEX_PAIR if draw(st.booleans()) else _REAL_PAIR
+    rows = draw(
+        st.lists(st.lists(pair, min_size=width, max_size=width), min_size=1, max_size=8)
+    )
+    return [[x for x, _ in row] for row in rows], [[y for _, y in row] for row in rows]
+
+
+@given(stack=stacks(), kind=st.sampled_from(list(ScalarKind)))
+@settings(max_examples=300)
+def test_batched_levels_match_scalar_oracle(stack, kind):
+    xs, ys = stack
+    assert min_passing_tolerance(xs, ys, kind, GRID) == [
+        scan_levels(x, y, kind) for x, y in zip(xs, ys)
+    ]
+
+
+@given(stack=stacks(), kind=st.sampled_from(list(ScalarKind)))
+@settings(max_examples=100)
+def test_one_row_form_agrees_with_stacked_form(stack, kind):
+    xs, ys = stack
+    stacked = min_passing_tolerance(np.array(xs), np.array(ys), kind, GRID)
+    assert [min_passing_tolerance(x, y, kind, GRID) for x, y in zip(xs, ys)] == stacked
+
+
+def test_batched_mismatched_nonfinite_fails_its_row_only():
+    xs = [[NAN, 1.0 + 1e-4], [NAN, 1.0], [INF, 1.0], [complex(1.0, -INF), 2.0]]
+    ys = [[NAN, 1.0], [1.0, 1.0], [-INF, 1.0], [complex(1.0, -INF), 2.0]]
+    assert min_passing_tolerance(xs, ys, ScalarKind.FLOAT32, GRID) == [-4.0, None, None, -10.0]
+    assert min_passing_tolerance(xs, ys, ScalarKind.OTHER, GRID) == [None, None, None, -10.0]
+
+
+def test_batched_input_errors():
+    with pytest.raises(ValueError):
+        min_passing_tolerance([[1.0, 2.0]], [[1.0], [2.0]], ScalarKind.FLOAT32, GRID)
+    with pytest.raises(ValueError):
+        min_passing_tolerance([[[1.0]]], [[[1.0]]], ScalarKind.FLOAT32, GRID)
+    with pytest.raises(ValueError):
+        min_passing_tolerance([[], []], [[], []], ScalarKind.FLOAT32, GRID)
 
 
 @given(
