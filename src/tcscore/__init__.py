@@ -38,15 +38,7 @@ from .scoring import (
     score_level,
     speedup_score,
 )
-from .simulator import ErrorRates, OpCountLaw, SimSpec, SpeedupLaw, compare_outputs, simulate
-from .tolerance import (
-    DEFAULT_RULES,
-    ScalarKind,
-    ToleranceRule,
-    atol,
-    load_rules,
-    min_passing_tolerance,
-    rtol,
-)
+from .simulator import ErrorRates, OpCountLaw, SimSpec, SpeedupLaw, simulate
+from .tolerance import SLOPES, ScalarKind, atol, min_passing_tolerance, rtol
 
 __version__ = "0.1.0"

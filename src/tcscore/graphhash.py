@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 __all__ = ["HashInput", "Topology", "graph_hash", "normalize_source"]
 
@@ -33,17 +33,20 @@ def normalize_source(text: str) -> str:
     return _WHITESPACE.sub(" ", _COMMENT.sub("", text)).strip()
 
 
-def _freeze_topology(topology: Iterable) -> Topology:
-    frozen = []
-    for entry in topology:
-        try:
-            op, inputs = entry
-            frozen.append((str(op), tuple(int(i) for i in inputs)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                "topology entries must be (op_type, input indices) pairs"
-            ) from exc
-    return tuple(frozen)
+def _freeze_topology(topology: Sequence) -> Topology:
+    # Exact types: JSON booleans are ints to isinstance.
+    if type(topology) not in (list, tuple) or not topology or not all(
+        type(entry) in (list, tuple)
+        and len(entry) == 2
+        and type(entry[0]) is str
+        and type(entry[1]) in (list, tuple)
+        and all(type(i) is int for i in entry[1])
+        for entry in topology
+    ):
+        raise ValueError(
+            "topology must be a nonempty list of [op string, list of integer indices]"
+        )
+    return tuple((op, tuple(inputs)) for op, inputs in topology)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class HashInput:
     topology: Topology
 
     @classmethod
-    def from_source(cls, source: str, topology: Iterable) -> "HashInput":
-        """Normalize raw source text and freeze the topology listing."""
+    def from_source(cls, source: str, topology: Sequence) -> "HashInput":
+        """Normalize raw source text; check and freeze the topology listing."""
         return cls(normalize_source(source), _freeze_topology(topology))
 
 
@@ -72,8 +75,6 @@ def graph_hash(h: HashInput) -> str:
     applied again here defensively; equal graphs hash equally no matter
     how the input was constructed.
     """
-    if not h.topology:
-        raise ValueError("topology must be nonempty")
     source = normalize_source(h.normalized_source)
     topology = json.dumps(
         [[op, list(inputs)] for op, inputs in h.topology],

@@ -212,7 +212,7 @@ def manifest_from_dict(data: Mapping[str, Any]) -> SampleManifest:
     if data.get("source_digest_inputs") is not None:
         raw_digest = _expect_object(data, "source_digest_inputs")
         digest_inputs = HashInput.from_source(
-            _expect_str(raw_digest, "normalized_source"), _expect_topology(raw_digest)
+            _expect_str(raw_digest, "normalized_source"), raw_digest.get("topology")
         )
     return SampleManifest(
         sample_id=_expect_str(data, "sample_id"),
@@ -458,23 +458,6 @@ def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ValueError(f"{key} must be an object")
     return value
-
-
-def _expect_topology(data: Mapping[str, Any]) -> list:
-    topology = data.get("topology")
-    if not isinstance(topology, list) or not topology or not all(
-        type(entry) is list
-        and len(entry) == 2
-        and type(entry[0]) is str
-        and type(entry[1]) is list
-        # exact type: JSON booleans are ints to isinstance
-        and all(type(i) is int for i in entry[1])
-        for entry in topology
-    ):
-        raise ValueError(
-            "topology must be a nonempty list of [op string, list of integer indices]"
-        )
-    return topology
 
 
 def _is_real(value: Any) -> bool:

@@ -40,7 +40,6 @@ __all__ = [
     "OpCountLaw",
     "SimSpec",
     "SpeedupLaw",
-    "compare_outputs",
     "records_header",
     "simulate",
 ]
@@ -193,13 +192,6 @@ class SimSpec:
         return cls(**kwargs)
 
 
-def compare_outputs(
-    x, y, kind: ScalarKind, grid, index: int = 0
-) -> TensorComparison:
-    """Summarize one output pair as its smallest passing tolerance level."""
-    return TensorComparison(index, kind, min_passing_tolerance(x, y, kind, grid))
-
-
 def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:
     return RecordsHeader(
         grid=cfg.grid,
@@ -261,9 +253,7 @@ def _simulate_block(
     wrong_below = crash_below + rates.accuracy_violation
 
     category = rng.choice(len(categories), size=n, p=weights / weights.sum())
-    opcount = np.rint(
-        2.0 ** rng.normal(spec.opcount_law.log2_mean, spec.opcount_law.log2_stddev, size=n)
-    )
+    log2_opcount = rng.normal(spec.opcount_law.log2_mean, spec.opcount_law.log2_stddev, size=n)
     multiplier = rng.integers(100, 5000, size=n)
     output_count = rng.integers(1, 4, size=n)
     kind_index = rng.integers(len(kinds), size=int(output_count.sum()))
@@ -271,9 +261,7 @@ def _simulate_block(
     warmup = rng.integers(1, 11, size=n)
     timed = rng.integers(10, 101, size=n)
     fate = rng.random(n)
-    speedup = 2.0 ** rng.normal(
-        spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev, size=n
-    )
+    log2_speedup = rng.normal(spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev, size=n)
     depth = rng.integers(3, 9, size=n)
     op_index = rng.integers(len(_OP_VOCAB), size=int(depth.sum()))
     outputs = len(kind_index)
@@ -282,8 +270,22 @@ def _simulate_block(
     noise = rng.uniform(-1.0, 1.0, size=(outputs, _OUTPUT_LEN))
     shift = rng.random(outputs)
 
+    with np.errstate(over="ignore", divide="ignore"):
+        opcount = np.rint(2.0**log2_opcount)
+        compiled_time = eager / 2.0**log2_speedup
+        magnitude = np.array([spec.noise_law[k] for k in kinds])[kind_index] * 10.0**exponent
+        recorded_speedup = eager / compiled_time
+    # Extreme laws overflow or underflow; RunRecord needs eager / compiled
+    # to be finite and positive.
+    for key, in_range in (
+        ("opcount_law", np.isfinite(opcount)),
+        ("speedup_law", np.isfinite(recorded_speedup) & (recorded_speedup > 0)),
+        ("noise_law", np.isfinite(magnitude)),
+    ):
+        if not in_range.all():
+            raise ValueError(f"{key}: draws leave float range")
+
     output_fate = np.repeat(fate, output_count)
-    magnitude = np.array([spec.noise_law[k] for k in kinds])[kind_index] * 10.0**exponent
     candidate = np.where(
         (output_fate < wrong_below)[:, None],
         # Shift beyond the level-0 bound (1 + |y|, |y| <= 1.5).
@@ -300,11 +302,11 @@ def _simulate_block(
 
     output_kinds = [kinds[k] for k in kind_index.tolist()]
     op_names = [_OP_VOCAB[o] for o in op_index.tolist()]
-    columns = (category, opcount, multiplier, output_count, eager, warmup, timed, fate, speedup, depth)
+    columns = (category, opcount, multiplier, output_count, eager, warmup, timed, fate, compiled_time, depth)
     manifests: list[SampleManifest] = []
     records: list[RunRecord] = []
     first_output = first_op = 0
-    for i, cat, ops, mult, count, eager_s, warm, iters, fate_i, gain, size in zip(
+    for i, cat, ops, mult, count, eager_s, warm, iters, fate_i, compiled_s, size in zip(
         ids, *(column.tolist() for column in columns)
     ):
         sample_id = f"s{i:05d}"
@@ -337,7 +339,7 @@ def _simulate_block(
                     for index, kind in enumerate(sample_kinds)
                 )
             )
-            compiled = eager_s / gain
+            compiled = compiled_s
         records.append(RunRecord(sample_id, eager_s, outcome, compiled, warm, iters))
         first_output += count
         first_op += size

@@ -8,23 +8,12 @@ pair of outputs that passes at some level passes at every looser one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_RULES",
-    "ScalarKind",
-    "ToleranceRule",
-    "atol",
-    "load_rules",
-    "min_passing_tolerance",
-    "rtol",
-]
+__all__ = ["SLOPES", "ScalarKind", "atol", "min_passing_tolerance", "rtol"]
 
 
 class ScalarKind(Enum):
@@ -53,101 +42,40 @@ class ScalarKind(Enum):
             return cls.OTHER
 
 
-@dataclass(frozen=True)
-class ToleranceRule:
-    """Schedule slopes for one kind: tolerance(t) = 10**(slope * t).
-
-    A slope of None pins that tolerance to zero at every level, which
-    turns the closeness check into exact comparison.
-    """
-
-    kind: ScalarKind
-    atol_slope: float | None
-    rtol_slope: float | None
-
-
-DEFAULT_RULES: Mapping[ScalarKind, ToleranceRule] = {
-    rule.kind: rule
-    for rule in (
-        ToleranceRule(ScalarKind.FLOAT16, 1.0, 3 / 5),
-        ToleranceRule(ScalarKind.BFLOAT16, 1.0, 1.796 / 5),
-        ToleranceRule(ScalarKind.FLOAT32, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.FLOAT64, 7 / 5, 7 / 5),
-        ToleranceRule(ScalarKind.COMPLEX32, 1.0, 3 / 5),
-        ToleranceRule(ScalarKind.COMPLEX64, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.COMPLEX128, 7 / 5, 7 / 5),
-        ToleranceRule(ScalarKind.QUINT8, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.QUINT2X4, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.QUINT4X2, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.QINT8, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.QINT32, 1.0, 5.886 / 5),
-        ToleranceRule(ScalarKind.OTHER, None, None),
-    )
+# (atol slope, rtol slope) per kind: tolerance(t) = 10**(slope * t). A
+# slope of None pins that tolerance to zero at every level, which turns
+# the closeness check into exact comparison.
+SLOPES: Mapping[ScalarKind, tuple[float | None, float | None]] = {
+    ScalarKind.FLOAT16: (1.0, 3 / 5),
+    ScalarKind.BFLOAT16: (1.0, 1.796 / 5),
+    ScalarKind.FLOAT32: (1.0, 5.886 / 5),
+    ScalarKind.FLOAT64: (7 / 5, 7 / 5),
+    ScalarKind.COMPLEX32: (1.0, 3 / 5),
+    ScalarKind.COMPLEX64: (1.0, 5.886 / 5),
+    ScalarKind.COMPLEX128: (7 / 5, 7 / 5),
+    ScalarKind.QUINT8: (1.0, 5.886 / 5),
+    ScalarKind.QUINT2X4: (1.0, 5.886 / 5),
+    ScalarKind.QUINT4X2: (1.0, 5.886 / 5),
+    ScalarKind.QINT8: (1.0, 5.886 / 5),
+    ScalarKind.QINT32: (1.0, 5.886 / 5),
+    ScalarKind.OTHER: (None, None),
 }
 
 
-def load_rules(path: str | Path) -> dict[ScalarKind, ToleranceRule]:
-    """Tolerance rule table with overrides merged from a JSON config file.
-
-    The file maps kind names to {"atol_slope": ..., "rtol_slope": ...}; a
-    null slope pins that tolerance to zero. Kinds the file does not name
-    keep their built-in schedule.
-    """
-    path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: rule config must be a JSON object")
-    rules = dict(DEFAULT_RULES)
-    for name, entry in data.items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: entry for {name!r} must be an object")
-        kind = ScalarKind.from_name(name)
-        rules[kind] = ToleranceRule(
-            kind,
-            _parse_slope(entry, "atol_slope", name, path),
-            _parse_slope(entry, "rtol_slope", name, path),
-        )
-    return rules
-
-
-def _parse_slope(entry: dict, key: str, name: str, path: Path) -> float | None:
-    value = entry.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: {name}.{key} must be a number or null")
-    return float(value)
-
-
-def atol(
-    kind: ScalarKind,
-    t: float,
-    rules: Mapping[ScalarKind, ToleranceRule] | None = None,
-) -> float:
+def atol(kind: ScalarKind, t: float) -> float:
     """Absolute threshold for ``kind`` at level t (t must be <= 0)."""
-    return _threshold(kind, t, rules, "atol_slope")
+    return _threshold(SLOPES[kind][0], t)
 
 
-def rtol(
-    kind: ScalarKind,
-    t: float,
-    rules: Mapping[ScalarKind, ToleranceRule] | None = None,
-) -> float:
+def rtol(kind: ScalarKind, t: float) -> float:
     """Relative threshold for ``kind`` at level t (t must be <= 0)."""
-    return _threshold(kind, t, rules, "rtol_slope")
+    return _threshold(SLOPES[kind][1], t)
 
 
-def _threshold(
-    kind: ScalarKind,
-    t: float,
-    rules: Mapping[ScalarKind, ToleranceRule] | None,
-    attr: str,
-) -> float:
+def _threshold(slope: float | None, t: float) -> float:
     # Positive levels mean error forgiveness, not numeric thresholds.
     if t > 0:
         raise ValueError(f"tolerance level must be <= 0, got {t}")
-    rule = (rules or DEFAULT_RULES)[kind]
-    slope: float | None = getattr(rule, attr)
     if slope is None:
         return 0.0
     return 10.0 ** (slope * t)
@@ -158,7 +86,6 @@ def min_passing_tolerance(
     y: Sequence,
     kind: ScalarKind,
     grid: Sequence[float],
-    rules: Mapping[ScalarKind, ToleranceRule] | None = None,
 ) -> float | None | list[float | None]:
     """Smallest grid level at which every element pair is close.
 
@@ -205,7 +132,7 @@ def min_passing_tolerance(
     for t in levels:
         if not pending.size:
             break
-        bound = atol(kind, t, rules) + rtol(kind, t, rules) * magnitude
+        bound = atol(kind, t) + rtol(kind, t) * magnitude
         passed = np.all(diff <= bound, axis=1)
         for row in pending[passed].tolist():
             passing[row] = t

@@ -63,6 +63,12 @@ def test_hash_rejects_empty_topology():
         graph_hash(HashInput.from_source("x = a", []))
 
 
+@pytest.mark.parametrize("topology", [[("add", (0, True))], [(1, (0,))]])
+def test_from_source_rejects_malformed_topology(topology):
+    with pytest.raises(ValueError, match="topology must be a nonempty list"):
+        HashInput.from_source("x = a + b", topology)
+
+
 def test_hash_golden_vector():
     golden = json.loads((DATA_DIR / "graph_hash_golden.json").read_text())
     h = HashInput.from_source(golden["normalized_source"], golden["topology"])

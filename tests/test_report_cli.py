@@ -264,6 +264,23 @@ def test_cli_simulate_rejects_malformed_spec(tmp_path, capsys, spec):
     assert err.startswith(f"error: {spec_path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, spec",
+    [
+        ("opcount_law", {"opcount_law": {"log2_mean": 5000, "log2_stddev": 1}}),
+        ("speedup_law", {"speedup_law": {"log2_mean": -5000, "log2_stddev": 1}}),
+        ("speedup_law", {"speedup_law": {"log2_mean": 5000, "log2_stddev": 1}}),
+        ("noise_law", {"noise_law": {"float32": 1e308}}),
+    ],
+)
+def test_cli_simulate_law_leaving_float_range_fails(tmp_path, capsys, key, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(tmp_path / "r.jsonl")]
+    assert main(["simulate", "--spec", str(spec_path), "--n", "50", *outputs]) == 1
+    assert capsys.readouterr().err == f"error: {key}: draws leave float range\n"
+
+
 @pytest.mark.parametrize("text", [b"{seed: 1}", b'{"seed": 1', b"", b'{"framework": "\xff"}'])
 def test_cli_simulate_unreadable_spec_names_the_file(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"

@@ -14,7 +14,6 @@ from tcscore.simulator import (
     ErrorRates,
     SimSpec,
     SpeedupLaw,
-    compare_outputs,
     records_header,
     simulate,
 )
@@ -101,20 +100,6 @@ def test_different_seeds_differ():
     a = simulate(SimSpec(seed=1, n_samples=30), CFG)
     b = simulate(SimSpec(seed=2, n_samples=30), CFG)
     assert a != b
-
-
-def test_compare_outputs_examples():
-    grid = tuple(t for t in CFG.grid if t <= 0)
-    same = compare_outputs([1.0, 2.0], [1.0, 2.0], ScalarKind.FLOAT32, grid)
-    assert same.min_passing_t == grid[0]
-    perturbed = compare_outputs([1.0 + 1e-4], [1.0], ScalarKind.FLOAT32, grid, index=2)
-    assert perturbed.min_passing_t == -4.0
-    assert perturbed.tensor_index == 2
-    # 3.0 exceeds the level-0 bound 1 + |1.0| = 2, so it never passes
-    broken = compare_outputs([4.0], [1.0], ScalarKind.FLOAT32, grid)
-    assert broken.min_passing_t is None
-    with pytest.raises(ValueError):
-        compare_outputs([1.0, 2.0], [1.0], ScalarKind.FLOAT32, grid)
 
 
 def test_simulate_scores_each_block_with_one_call_per_kind(monkeypatch):

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcscore.tolerance import (
-    DEFAULT_RULES,
-    ScalarKind,
-    atol,
-    load_rules,
-    min_passing_tolerance,
-    rtol,
-)
+from tcscore.tolerance import SLOPES, ScalarKind, atol, min_passing_tolerance, rtol
 
 GRID = [float(t) for t in range(-10, 1)]
 
@@ -117,8 +110,8 @@ def test_unknown_kind_parses_to_other():
     assert ScalarKind.from_name("bfloat16") is ScalarKind.BFLOAT16
 
 
-def test_every_kind_has_a_rule():
-    assert set(DEFAULT_RULES) == set(ScalarKind)
+def test_every_kind_has_slopes():
+    assert set(SLOPES) == set(ScalarKind)
 
 
 def test_element_close_basics():
@@ -299,20 +292,3 @@ def test_pass_is_monotone_in_level(kind, y, delta):
 @settings(max_examples=100)
 def test_zero_difference_passes_at_strictest_level(values):
     assert min_passing_tolerance(values, values, ScalarKind.FLOAT64, GRID) == GRID[0]
-
-
-def test_load_rules_overrides(tmp_path):
-    path = tmp_path / "rules.json"
-    path.write_text('{"float32": {"atol_slope": 2.0, "rtol_slope": null}}')
-    rules = load_rules(path)
-    assert atol(ScalarKind.FLOAT32, -1.0, rules) == pytest.approx(1e-2)
-    assert rtol(ScalarKind.FLOAT32, -1.0, rules) == 0.0
-    # untouched kinds keep the built-in schedule
-    assert atol(ScalarKind.FLOAT64, -5.0, rules) == 1e-7
-
-
-def test_load_rules_rejects_bad_entries(tmp_path):
-    path = tmp_path / "rules.json"
-    path.write_text('{"float32": {"atol_slope": "fast"}}')
-    with pytest.raises(ValueError):
-        load_rules(path)
