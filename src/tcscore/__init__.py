@@ -38,7 +38,6 @@ from .scoring import (
     score_level,
     speedup_score,
 )
-from .simulator import ErrorRates, OpCountLaw, SimSpec, SpeedupLaw, simulate
-from .tolerance import SLOPES, ScalarKind, atol, min_passing_tolerance, rtol
+from .tolerance import SLOPES, ScalarKind, atol, rtol
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ from .records import (
     write_records,
 )
 from .scoring import ScoreConfig, join_samples, score_curve, score_level
-from .simulator import SimSpec, records_header, simulate
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -187,6 +186,9 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Deferred so that only this subcommand pays the simulator's imports.
+    from .simulator import SimSpec, records_header, simulate
+
     spec = SimSpec()
     if args.spec is not None:
         try:

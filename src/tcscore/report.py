@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import StatsReport
@@ -62,7 +62,9 @@ CURVE_COLUMNS = (
 def round_half_away(value: float, decimals: int = 3) -> str:
     """Render at fixed decimals, ties away from zero."""
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    # 400 digits hold any finite double at 3 decimals; the default 28 do not.
+    wide = Context(prec=400)
+    return str(Decimal(repr(float(value))).quantize(quantum, ROUND_HALF_UP, wide))
 
 
 def level_label(t: float) -> str:

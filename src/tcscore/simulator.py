@@ -5,14 +5,15 @@ operator counts, and output perturbations are drawn from configurable
 laws, producing a manifests/records pair that exercises the full scoring
 pipeline. All draws come from one fixed-seed PCG64 stream, block by
 block in a fixed order, so a given spec maps to byte-identical output
-files.
+files. As the records producer it owns the numpy tolerance scan that
+turns output tensors into passing levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +34,14 @@ from .records import (
     _expect_str,
 )
 from .scoring import ScoreConfig
-from .tolerance import ScalarKind, min_passing_tolerance
+from .tolerance import ScalarKind, atol, rtol
 
 __all__ = [
     "ErrorRates",
     "OpCountLaw",
     "SimSpec",
     "SpeedupLaw",
+    "min_passing_tolerance",
     "records_header",
     "simulate",
 ]
@@ -344,6 +346,65 @@ def _simulate_block(
         first_output += count
         first_op += size
     return manifests, records
+
+
+def min_passing_tolerance(
+    x: Sequence, y: Sequence, kind: ScalarKind, grid: Sequence[float]
+) -> list[float | None]:
+    """Smallest grid level at which every element pair of a row is close.
+
+    ``x`` and ``y`` are ``(rows, elements)`` stacks; the result holds one
+    level, or None when the row never passes, per row. Elements pair up
+    as x against the reference y and are close at level t when
+    |x - y| <= atol(t) + rtol(t) * |y|; complex values use the modulus.
+    A non-finite element must be matched exactly by its partner (NaN
+    matches NaN, infinities agree in sign, per component) and then takes
+    no part in the check; otherwise its row never passes.
+
+    ``grid`` must be strictly ascending with all levels <= 0. Both
+    thresholds are nondecreasing in t, so passing is monotone: one
+    ascending walk over the levels settles every row, dropping the rows
+    that pass at each level.
+    """
+    lhs = np.asarray(x)
+    rhs = np.asarray(y)
+    if lhs.ndim != 2 or lhs.shape != rhs.shape:
+        raise ValueError(
+            f"element arrays must be 2-d with equal shapes, got {lhs.shape} vs {rhs.shape}"
+        )
+    if lhs.shape[-1] == 0:
+        raise ValueError("element sequences must be nonempty")
+    levels = [float(t) for t in grid]
+    if not levels:
+        raise ValueError("tolerance grid is empty")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("tolerance grid must be strictly ascending")
+    if levels[-1] > 0:
+        raise ValueError("tolerance grid levels must be <= 0")
+
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    matched = _nan_equal(lhs.real, rhs.real) & _nan_equal(lhs.imag, rhs.imag)
+    # Matched non-finite pairs become 0 against 0, which passes at every level.
+    lhs, rhs = np.where(finite, lhs, 0), np.where(finite, rhs, 0)
+    diff = np.abs(lhs - rhs)
+    magnitude = np.abs(rhs)
+    passing: list[float | None] = [None] * len(lhs)
+    pending = np.flatnonzero(np.all(finite | matched, axis=1))
+    diff, magnitude = diff[pending], magnitude[pending]
+    for t in levels:
+        if not pending.size:
+            break
+        bound = atol(kind, t) + rtol(kind, t) * magnitude
+        passed = np.all(diff <= bound, axis=1)
+        for row in pending[passed].tolist():
+            passing[row] = t
+        failing = ~passed
+        pending, diff, magnitude = pending[failing], diff[failing], magnitude[failing]
+    return passing
+
+
+def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _synthesize_graph(sample_id: str, opcount: int, ops: list[str]) -> tuple[str, Topology]:

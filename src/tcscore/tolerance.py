@@ -1,19 +1,18 @@
-"""Dtype-dependent numeric tolerance schedules and the minimal passing level.
+"""Dtype-dependent numeric tolerance schedules.
 
 Numeric strictness is a single level t <= 0. Each scalar kind maps the
 level to absolute and relative thresholds through a log-linear schedule
 10**(slope * t), so loosening t raises both thresholds together and a
 pair of outputs that passes at some level passes at every looser one.
+Scoring only reads the passing levels the records producer wrote.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
-import numpy as np
-
-__all__ = ["SLOPES", "ScalarKind", "atol", "min_passing_tolerance", "rtol"]
+__all__ = ["SLOPES", "ScalarKind", "atol", "rtol"]
 
 
 class ScalarKind(Enum):
@@ -79,67 +78,3 @@ def _threshold(slope: float | None, t: float) -> float:
     if slope is None:
         return 0.0
     return 10.0 ** (slope * t)
-
-
-def min_passing_tolerance(
-    x: Sequence,
-    y: Sequence,
-    kind: ScalarKind,
-    grid: Sequence[float],
-) -> float | None | list[float | None]:
-    """Smallest grid level at which every element pair is close.
-
-    Elements pair up as x against the reference y and are close at level
-    t when |x - y| <= atol(t) + rtol(t) * |y|; complex values use the
-    modulus. A non-finite element must be matched exactly by its partner
-    (NaN matches NaN, infinities agree in sign, per component) and then
-    takes no part in the check; otherwise the pair never passes.
-
-    ``x`` and ``y`` are 1-d (one output pair, returning a level or None)
-    or 2-d ``(rows, elements)`` stacks (returning one level or None per
-    row). ``grid`` must be strictly ascending with all levels <= 0.
-    Both thresholds are nondecreasing in t, so passing is monotone: one
-    ascending walk over the levels settles every row, dropping the rows
-    that pass at each level.
-    """
-    lhs = np.asarray(x)
-    rhs = np.asarray(y)
-    if lhs.ndim not in (1, 2) or lhs.shape != rhs.shape:
-        raise ValueError(
-            f"element arrays must be 1-d or 2-d with equal shapes, got {lhs.shape} vs {rhs.shape}"
-        )
-    if lhs.shape[-1] == 0:
-        raise ValueError("element sequences must be nonempty")
-    levels = [float(t) for t in grid]
-    if not levels:
-        raise ValueError("tolerance grid is empty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("tolerance grid must be strictly ascending")
-    if levels[-1] > 0:
-        raise ValueError("tolerance grid levels must be <= 0")
-
-    single = lhs.ndim == 1
-    lhs, rhs = np.atleast_2d(lhs, rhs)
-    finite = np.isfinite(lhs) & np.isfinite(rhs)
-    matched = _nan_equal(lhs.real, rhs.real) & _nan_equal(lhs.imag, rhs.imag)
-    # Matched non-finite pairs become 0 against 0, which passes at every level.
-    lhs, rhs = np.where(finite, lhs, 0), np.where(finite, rhs, 0)
-    diff = np.abs(lhs - rhs)
-    magnitude = np.abs(rhs)
-    passing: list[float | None] = [None] * len(lhs)
-    pending = np.flatnonzero(np.all(finite | matched, axis=1))
-    diff, magnitude = diff[pending], magnitude[pending]
-    for t in levels:
-        if not pending.size:
-            break
-        bound = atol(kind, t) + rtol(kind, t) * magnitude
-        passed = np.all(diff <= bound, axis=1)
-        for row in pending[passed].tolist():
-            passing[row] = t
-        failing = ~passed
-        pending, diff, magnitude = pending[failing], diff[failing], magnitude[failing]
-    return passing[0] if single else passing
-
-
-def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a == b) | (np.isnan(a) & np.isnan(b))

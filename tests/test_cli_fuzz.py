@@ -10,6 +10,11 @@ The second draws ``simulate --spec`` laws from wide finite floats and
 ``--p``/``--b``/``--t``/``--grid`` values for ``score`` and ``report``.
 Every run must exit 0, 1 or 2 with no traceback or warning, and every
 exit 1 must print an ``error:`` line.
+
+The third draws speedup and op-count laws up to the edges of float range
+and holds ``validate`` to its promise: whenever it accepts the simulated
+files, every scoring, rendering and dataset subcommand accepts them too,
+in every format.
 """
 
 from __future__ import annotations
@@ -175,3 +180,40 @@ def test_odd_arguments_fail_cleanly(dataset, spec, data):
         assert "Traceback" not in err and "Warning" not in err
         if code == 1:
             assert err.startswith("error: "), err
+
+
+# Log2 laws out past where simulate starts to refuse them: op counts and
+# speedups overflow near 2**1024, and speedups below about 2**-1028 push
+# compiled times past float range.
+EDGE_MEAN = st.floats(-1100, 1100)
+EDGE_STDDEV = st.one_of(st.floats(0, 2), st.floats(0, 40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    laws=st.fixed_dictionaries(
+        {
+            law: st.fixed_dictionaries({"log2_mean": EDGE_MEAN, "log2_stddev": EDGE_STDDEV})
+            for law in ("speedup_law", "opcount_law")
+        }
+    ),
+)
+def test_validated_files_pass_every_command(seed, laws):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "spec.json").write_text(json.dumps({"seed": seed, **laws}))
+        m_path, r_path = str(work / "m.jsonl"), str(work / "r.jsonl")
+        both = ["--manifests", m_path, "--records", r_path]
+        code, err = _run(["simulate", "--spec", str(work / "spec.json"), "--n", "20", *both])
+        if code == 1:
+            assert err.endswith(": draws leave float range\n"), err
+            return
+        assert code == 0, err
+        assert _run(["validate", *both]) == (0, "")
+        argvs = [["score", *both], ["dedup", "--manifests", m_path, "--out", str(work / "k.jsonl")]]
+        for fmt in ("csv", "json", "md"):
+            argvs += [[command, *both, "--format", fmt] for command in ("curve", "report", "violin")]
+            argvs.append(["stats", "--manifests", m_path, "--format", fmt])
+        for argv in argvs:
+            assert _run(argv) == (0, ""), argv

@@ -83,6 +83,12 @@ def test_round_half_away():
     assert round_half_away(-0.0005) == "-0.001"
     assert round_half_away(1.2835) == "1.284"
     assert round_half_away(2.0) == "2.000"
+    # Past the default 28-digit decimal context, up to the largest double.
+    assert round_half_away(1e25) == "10000000000000000000000000.000"
+    assert round_half_away(1e308) == "1" + "0" * 308 + ".000"
+    biggest = round_half_away(-1.7976931348623157e308)
+    assert biggest.startswith("-17976931348623157") and biggest.endswith("0.000")
+    assert len(biggest) == 1 + 309 + 4
 
 
 def test_table_rows_columns_and_dash():
@@ -281,6 +287,22 @@ def test_cli_simulate_law_leaving_float_range_fails(tmp_path, capsys, key, spec)
     assert capsys.readouterr().err == f"error: {key}: draws leave float range\n"
 
 
+def test_cli_report_renders_huge_scores(tmp_path, capsys):
+    # Speedups near 2**1000 put table cells far beyond 1e25.
+    spec = {
+        "opcount_law": {"log2_mean": 1020, "log2_stddev": 1},
+        "speedup_law": {"log2_mean": 1000, "log2_stddev": 10},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    both = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(tmp_path / "r.jsonl")]
+    assert main(["simulate", "--spec", str(spec_path), "--n", "20", *both]) == 0
+    assert main(["validate", *both]) == 0
+    for fmt in ("csv", "json", "md"):
+        assert main(["report", *both, "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("text", [b"{seed: 1}", b'{"seed": 1', b"", b'{"framework": "\xff"}'])
 def test_cli_simulate_unreadable_spec_names_the_file(tmp_path, capsys, text):
     spec_path = tmp_path / "spec.json"
@@ -369,12 +391,16 @@ def test_cli_missing_file_is_data_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _child_env() -> dict[str, str]:
+    """Environment under which a child imports the same tcscore package."""
+    paths = [str(Path(tcscore.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_cli_subprocess_entrypoint(tmp_path):
     m_path = tmp_path / "m.jsonl"
     r_path = tmp_path / "r.jsonl"
-    # The child must import the same tcscore package as this process.
-    paths = [str(Path(tcscore.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = _child_env()
     result = subprocess.run(
         [
             sys.executable,
@@ -407,6 +433,23 @@ def test_cli_subprocess_entrypoint(tmp_path):
         [sys.executable, "-m", "tcscore", "nope"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 2
+
+
+def test_scoring_path_does_not_load_numpy(tmp_path, capsys):
+    # Only the simulator needs numpy; scoring a file must not import it.
+    r_path = tmp_path / "r.jsonl"
+    outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(r_path)]
+    assert main(["simulate", "--seed", "3", "--n", "20", *outputs]) == 0
+    child = (
+        "import sys, tcscore, tcscore.cli\n"
+        f"assert tcscore.cli.main(['score', '--records', {str(r_path)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["total"] == 20
 
 
 def test_report_rendering_is_stable(tmp_path):

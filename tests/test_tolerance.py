@@ -1,9 +1,10 @@
-"""Tolerance schedules and the minimal passing level.
+"""Tolerance schedules and the simulator's minimal-passing-level scan.
 
 ``element_close`` below is a scalar oracle: it states the closeness rule
 one element pair at a time, in plain Python, and ``scan_levels`` walks
-the grid with it. The vectorized ``min_passing_tolerance`` must agree
-with that scan on every row of any stack.
+the grid with it. The vectorized ``min_passing_tolerance``, which takes
+``(rows, elements)`` stacks, must agree with that scan on every row of
+any stack; single output pairs go in as one-row stacks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcscore.tolerance import SLOPES, ScalarKind, atol, min_passing_tolerance, rtol
+from tcscore.simulator import min_passing_tolerance
+from tcscore.tolerance import SLOPES, ScalarKind, atol, rtol
 
 GRID = [float(t) for t in range(-10, 1)]
 
@@ -156,39 +158,39 @@ def test_other_kind_requires_exact_match():
 
 
 def test_min_passing_identical_inputs():
-    assert min_passing_tolerance([1.0, 2.0], [1.0, 2.0], ScalarKind.FLOAT32, GRID) == -10.0
+    assert min_passing_tolerance([[1.0, 2.0]], [[1.0, 2.0]], ScalarKind.FLOAT32, GRID) == [-10.0]
 
 
 def test_min_passing_small_perturbation():
-    assert min_passing_tolerance([1.0 + 1e-4], [1.0], ScalarKind.FLOAT32, GRID) == -4.0
+    assert min_passing_tolerance([[1.0 + 1e-4]], [[1.0]], ScalarKind.FLOAT32, GRID) == [-4.0]
 
 
 def test_min_passing_never():
-    assert min_passing_tolerance([4.0], [1.0], ScalarKind.FLOAT32, GRID) is None
+    assert min_passing_tolerance([[4.0]], [[1.0]], ScalarKind.FLOAT32, GRID) == [None]
 
 
 def test_min_passing_level_zero_boundary_inclusive():
     # diff 2.0 equals atol(0) + rtol(0) * |1.0| exactly, so it passes at 0.
-    assert min_passing_tolerance([3.0], [1.0], ScalarKind.FLOAT32, GRID) == 0.0
+    assert min_passing_tolerance([[3.0]], [[1.0]], ScalarKind.FLOAT32, GRID) == [0.0]
 
 
 def test_min_passing_mismatched_nonfinite_is_never():
     nan = float("nan")
-    assert min_passing_tolerance([nan], [1.0], ScalarKind.FLOAT32, GRID) is None
-    assert min_passing_tolerance([nan], [nan], ScalarKind.FLOAT32, GRID) == -10.0
+    assert min_passing_tolerance([[nan]], [[1.0]], ScalarKind.FLOAT32, GRID) == [None]
+    assert min_passing_tolerance([[nan]], [[nan]], ScalarKind.FLOAT32, GRID) == [-10.0]
 
 
 def test_min_passing_input_errors():
     with pytest.raises(ValueError):
-        min_passing_tolerance([1.0, 2.0], [1.0], ScalarKind.FLOAT32, GRID)
+        min_passing_tolerance([[1.0, 2.0]], [[1.0]], ScalarKind.FLOAT32, GRID)
     with pytest.raises(ValueError):
-        min_passing_tolerance([], [], ScalarKind.FLOAT32, GRID)
+        min_passing_tolerance([[]], [[]], ScalarKind.FLOAT32, GRID)
     with pytest.raises(ValueError):
-        min_passing_tolerance([1.0], [1.0], ScalarKind.FLOAT32, [])
+        min_passing_tolerance([[1.0]], [[1.0]], ScalarKind.FLOAT32, [])
     with pytest.raises(ValueError):
-        min_passing_tolerance([1.0], [1.0], ScalarKind.FLOAT32, [-2.0, -2.0])
+        min_passing_tolerance([[1.0]], [[1.0]], ScalarKind.FLOAT32, [-2.0, -2.0])
     with pytest.raises(ValueError):
-        min_passing_tolerance([1.0], [1.0], ScalarKind.FLOAT32, [-1.0, 1.0])
+        min_passing_tolerance([[1.0]], [[1.0]], ScalarKind.FLOAT32, [-1.0, 1.0])
 
 
 def test_min_passing_matches_elementwise_scan():
@@ -196,7 +198,7 @@ def test_min_passing_matches_elementwise_scan():
     xs = [1.0, 1.5 + 3e-4, 0.75, -2.0]
     ys = [1.0, 1.5, 0.75 + 1e-7, -2.0 + 5e-2]
     for kind in (ScalarKind.FLOAT32, ScalarKind.FLOAT16, ScalarKind.FLOAT64):
-        assert min_passing_tolerance(xs, ys, kind, GRID) == scan_levels(xs, ys, kind)
+        assert min_passing_tolerance([xs], [ys], kind, GRID) == [scan_levels(xs, ys, kind)]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -242,9 +244,11 @@ def test_batched_levels_match_scalar_oracle(stack, kind):
 @given(stack=stacks(), kind=st.sampled_from(list(ScalarKind)))
 @settings(max_examples=100)
 def test_one_row_form_agrees_with_stacked_form(stack, kind):
+    # Rows are independent: each row scored alone, as a one-row stack,
+    # gets the level it gets inside the full stack.
     xs, ys = stack
     stacked = min_passing_tolerance(np.array(xs), np.array(ys), kind, GRID)
-    assert [min_passing_tolerance(x, y, kind, GRID) for x, y in zip(xs, ys)] == stacked
+    assert [min_passing_tolerance([x], [y], kind, GRID)[0] for x, y in zip(xs, ys)] == stacked
 
 
 def test_batched_mismatched_nonfinite_fails_its_row_only():
@@ -255,6 +259,8 @@ def test_batched_mismatched_nonfinite_fails_its_row_only():
 
 
 def test_batched_input_errors():
+    with pytest.raises(ValueError):  # a bare output pair is not a stack
+        min_passing_tolerance([1.0, 2.0], [1.0, 2.0], ScalarKind.FLOAT32, GRID)
     with pytest.raises(ValueError):
         min_passing_tolerance([[1.0, 2.0]], [[1.0], [2.0]], ScalarKind.FLOAT32, GRID)
     with pytest.raises(ValueError):
@@ -276,7 +282,7 @@ def test_pass_is_monotone_in_level(kind, y, delta):
     ]
     # Once a level passes, every looser level passes too.
     assert passed == sorted(passed)
-    level = min_passing_tolerance([x], [y], kind, GRID)
+    [level] = min_passing_tolerance([[x]], [[y]], kind, GRID)
     if level is None:
         assert not any(passed)
     else:
@@ -291,4 +297,4 @@ def test_pass_is_monotone_in_level(kind, y, delta):
 )
 @settings(max_examples=100)
 def test_zero_difference_passes_at_strictest_level(values):
-    assert min_passing_tolerance(values, values, ScalarKind.FLOAT64, GRID) == GRID[0]
+    assert min_passing_tolerance([values], [values], ScalarKind.FLOAT64, GRID) == [GRID[0]]
