@@ -10,11 +10,13 @@ from .records import (
     RunOutcome,
     RunRecord,
     RuntimeCrash,
+    SampleGroup,
     SampleManifest,
     TaskCategory,
     TensorComparison,
     load_manifests,
     load_records,
+    load_sample_groups,
     write_manifests,
     write_records,
 )

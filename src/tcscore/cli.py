@@ -12,11 +12,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import report as reporting
-from .dataset import audit_hashes, dedup, stats
+from .dataset import dedup, hash_mismatch, stats
 from .records import (
     IngestError,
     load_manifests,
     load_records,
+    load_sample_groups,
     write_manifests,
     write_records,
 )
@@ -150,7 +151,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_scoring_inputs(args):
     header, records = load_records(args.records)
     cfg = _config(args, header)
-    manifests = None if args.manifests is None else load_manifests(args.manifests)
+    manifests = None if args.manifests is None else load_sample_groups(args.manifests)
     return manifests, records, cfg
 
 
@@ -172,7 +173,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    manifests = load_manifests(args.manifests)
+    manifests = load_sample_groups(args.manifests)
     _emit(reporting.render_stats(stats(manifests), args.format), args.out)
     return 0
 
@@ -215,8 +216,13 @@ def _cmd_validate(args) -> int:
         raise ValueError("nothing to validate: pass --manifests and/or --records")
     manifests = None
     if args.manifests is not None:
-        manifests = load_manifests(args.manifests)
-        mismatched = audit_hashes(manifests)
+        mismatched: list[str] = []
+
+        def audit(manifest) -> None:
+            if hash_mismatch(manifest):
+                mismatched.append(manifest.sample_id)
+
+        manifests = load_sample_groups(args.manifests, audit)
         if mismatched:
             preview = ", ".join(repr(s) for s in mismatched[:5])
             raise ValueError(

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graphhash import graph_hash
-from .records import SampleManifest, TaskCategory
+from .records import ManifestFields, SampleManifest, TaskCategory
 
-__all__ = ["StatsReport", "audit_hashes", "dedup", "stats"]
+__all__ = ["StatsReport", "audit_hashes", "dedup", "hash_mismatch", "stats"]
 
 
 def dedup(
@@ -31,14 +31,15 @@ def dedup(
     return kept, dropped
 
 
+def hash_mismatch(manifest: SampleManifest) -> bool:
+    """Whether the stored graph_hash disagrees with the recorded inputs."""
+    inputs = manifest.source_digest_inputs
+    return inputs is not None and graph_hash(inputs) != manifest.graph_hash
+
+
 def audit_hashes(manifests: Iterable[SampleManifest]) -> list[str]:
     """Sample ids whose stored graph_hash disagrees with its recorded inputs."""
-    return [
-        m.sample_id
-        for m in manifests
-        if m.source_digest_inputs is not None
-        and graph_hash(m.source_digest_inputs) != m.graph_hash
-    ]
+    return [m.sample_id for m in manifests if hash_mismatch(m)]
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class StatsReport:
     opcount_histograms: Mapping[str, Mapping[int, int]]
 
 
-def stats(manifests: Iterable[SampleManifest]) -> StatsReport:
+def stats(manifests: Iterable[ManifestFields]) -> StatsReport:
     """Category shares and log2-binned operator-count histograms."""
     manifests = list(manifests)
     if not manifests:

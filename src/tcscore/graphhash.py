@@ -49,7 +49,7 @@ def _freeze_topology(topology: Sequence) -> Topology:
     return tuple((op, tuple(inputs)) for op, inputs in topology)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashInput:
     """Canonical hashing inputs for one computational graph.
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, TypeVar
 
 from .graphhash import HashInput
 from .tolerance import ScalarKind
@@ -24,15 +24,18 @@ __all__ = [
     "CompileFailure",
     "Completed",
     "IngestError",
+    "ManifestFields",
     "RecordsHeader",
     "RunOutcome",
     "RunRecord",
     "RuntimeCrash",
+    "SampleGroup",
     "SampleManifest",
     "TaskCategory",
     "TensorComparison",
     "load_manifests",
     "load_records",
+    "load_sample_groups",
     "write_manifests",
     "write_records",
 ]
@@ -64,7 +67,7 @@ class TaskCategory(Enum):
 _HEX_DIGEST = re.compile(r"[0-9a-fA-F]+\Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleManifest:
     """Static metadata for one computational-graph sample."""
 
@@ -90,7 +93,30 @@ class SampleManifest:
             raise ValueError("graph_hash must be a nonempty hex digest")
 
 
-@dataclass(frozen=True)
+class SampleGroup(NamedTuple):
+    """The manifest fields scoring and ``stats`` read: join key, group, size."""
+
+    sample_id: str
+    framework: str
+    task_category: TaskCategory
+    operator_count: int
+
+
+class ManifestFields(Protocol):
+    """What ``SampleManifest`` and ``SampleGroup`` share; readers of only
+    these fields take either."""
+
+    @property
+    def sample_id(self) -> str: ...
+    @property
+    def framework(self) -> str: ...
+    @property
+    def task_category(self) -> TaskCategory: ...
+    @property
+    def operator_count(self) -> int: ...
+
+
+@dataclass(frozen=True, slots=True)
 class TensorComparison:
     """Per-output comparison summary at the record producer's grid.
 
@@ -107,7 +133,7 @@ class TensorComparison:
             raise ValueError(f"tensor_index must be >= 0, got {self.tensor_index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completed:
     """Compiled run finished and its outputs were compared."""
 
@@ -118,12 +144,12 @@ class Completed:
             raise ValueError("completed outcome requires at least one comparison")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeCrash:
     message: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompileFailure:
     message: str = ""
 
@@ -131,7 +157,7 @@ class CompileFailure:
 RunOutcome = Completed | RuntimeCrash | CompileFailure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     """One measured run of a sample: timings plus its outcome."""
 
@@ -169,7 +195,7 @@ class RunRecord:
             raise ValueError(f"timed_iters must be >= 1, got {self.timed_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordsHeader:
     """First line of a records file: settings shared by every record."""
 
@@ -339,6 +365,32 @@ def load_manifests(path: str | Path) -> list[SampleManifest]:
     return _ingest(path, _read_json_lines(path), manifest_from_dict)
 
 
+def load_sample_groups(
+    path: str | Path, inspect: Callable[[SampleManifest], None] | None = None
+) -> list[SampleGroup]:
+    """Load a manifests file keeping only each line's ``SampleGroup``.
+
+    Every line is still parsed and checked as a full ``SampleManifest``,
+    so this accepts exactly the files ``load_manifests`` accepts, with the
+    same errors. ``inspect``, when given, sees each checked manifest, in
+    file order, before it is dropped.
+    """
+
+    def parse(obj: dict[str, Any]) -> SampleGroup:
+        manifest = manifest_from_dict(obj)
+        if inspect is not None:
+            inspect(manifest)
+        return SampleGroup(
+            manifest.sample_id,
+            manifest.framework,
+            manifest.task_category,
+            manifest.operator_count,
+        )
+
+    path = Path(path)
+    return _ingest(path, _read_json_lines(path), parse)
+
+
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     """Load a records file: the header line plus one record per line.
 
@@ -381,7 +433,7 @@ def write_records(
     _write_json_lines(path, lines())
 
 
-_Item = TypeVar("_Item", SampleManifest, RunRecord)
+_Item = TypeVar("_Item", SampleManifest, SampleGroup, RunRecord)
 
 
 def _ingest(

@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import StatsReport
-from .records import RunRecord, SampleManifest
+from .records import ManifestFields, RunRecord
 from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
 
 __all__ = [
@@ -131,7 +131,7 @@ def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
 
 
 def violin_data(
-    manifests: Sequence[SampleManifest],
+    manifests: Sequence[ManifestFields],
     records: Sequence[RunRecord],
     cfg: ScoreConfig | None = None,
 ) -> dict[tuple[str, str], list[float]]:

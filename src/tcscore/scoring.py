@@ -18,10 +18,10 @@ from .records import (
     CompileFailure,
     Completed,
     IngestError,
+    ManifestFields,
     RecordsHeader,
     RunRecord,
     RuntimeCrash,
-    SampleManifest,
 )
 
 __all__ = [
@@ -308,13 +308,13 @@ class ScoreCurve:
 
 
 def join_samples(
-    manifests: Sequence[SampleManifest], records: Sequence[RunRecord]
-) -> list[tuple[SampleManifest, RunRecord]]:
+    manifests: Sequence[ManifestFields], records: Sequence[RunRecord]
+) -> list[tuple[ManifestFields, RunRecord]]:
     """Pair each record with its manifest; unmatched entries are errors."""
     by_id = {m.sample_id: m for m in manifests}
     if len(by_id) != len(manifests):
         raise IngestError("duplicate sample_id among manifests")
-    pairs: list[tuple[SampleManifest, RunRecord]] = []
+    pairs: list[tuple[ManifestFields, RunRecord]] = []
     matched: set[str] = set()
     for record in records:
         manifest = by_id.get(record.sample_id)
@@ -341,7 +341,7 @@ def score_level(
 
 
 def score_curve(
-    manifests: Sequence[SampleManifest],
+    manifests: Sequence[ManifestFields],
     records: Sequence[RunRecord],
     cfg: ScoreConfig | None = None,
 ) -> ScoreCurve:

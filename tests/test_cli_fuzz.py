@@ -11,10 +11,15 @@ The second draws ``simulate --spec`` laws from wide finite floats and
 Every run must exit 0, 1 or 2 with no traceback or warning, and every
 exit 1 must print an ``error:`` line.
 
-The third draws speedup and op-count laws up to the edges of float range
-and holds ``validate`` to its promise: whenever it accepts the simulated
-files, every scoring, rendering and dataset subcommand accepts them too,
-in every format.
+The third draws speedup and op-count laws up to the edges of float range,
+with noise magnitudes and fault rates, and holds ``validate`` to its
+promise: whenever it accepts the simulated files, every scoring,
+rendering and dataset subcommand accepts them too, in every format.
+
+The fourth holds the two manifest loaders to one contract: on every
+corrupted manifests file, ``load_sample_groups`` fails with the same
+error as ``load_manifests``, or both load and the groups are the
+manifests' projection.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.cli import main
+from tcscore.records import IngestError, SampleGroup, load_manifests, load_sample_groups
 
 N_SAMPLES = 12
 DROP = "<drop key>"
@@ -189,6 +195,16 @@ EDGE_MEAN = st.floats(-1100, 1100)
 EDGE_STDDEV = st.one_of(st.floats(0, 2), st.floats(0, 40))
 
 
+# Noise magnitudes from none to the float range edge; fault rates summing
+# to at most 1, or one fault hitting every sample.
+NOISE = st.one_of(st.floats(0, 1), st.floats(min_value=0, allow_infinity=False))
+RATE_NAMES = ("accuracy_violation", "runtime_crash", "compile_failure")
+ERROR_RATES = st.one_of(
+    st.fixed_dictionaries({name: st.floats(0, 1 / 3) for name in RATE_NAMES}),
+    st.sampled_from(RATE_NAMES).map(lambda hit: {name: float(name == hit) for name in RATE_NAMES}),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
@@ -196,7 +212,11 @@ EDGE_STDDEV = st.one_of(st.floats(0, 2), st.floats(0, 40))
         {
             law: st.fixed_dictionaries({"log2_mean": EDGE_MEAN, "log2_stddev": EDGE_STDDEV})
             for law in ("speedup_law", "opcount_law")
-        }
+        },
+        optional={
+            "noise_law": st.dictionaries(st.sampled_from(KIND_NAMES), NOISE, min_size=1),
+            "error_rates": ERROR_RATES,
+        },
     ),
 )
 def test_validated_files_pass_every_command(seed, laws):
@@ -217,3 +237,26 @@ def test_validated_files_pass_every_command(seed, laws):
             argvs.append(["stats", "--manifests", m_path, "--format", fmt])
         for argv in argvs:
             assert _run(argv) == (0, ""), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sample_groups_load_what_manifests_load(dataset, data):
+    lines = data.draw(corrupted({"m.jsonl": dataset["m.jsonl"]}))["m.jsonl"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = []
+        for load in (load_manifests, load_sample_groups):
+            try:
+                loaded.append(load(path))
+            except IngestError as exc:
+                loaded.append(str(exc))
+    manifests, groups = loaded
+    if isinstance(manifests, str):
+        assert groups == manifests
+    else:
+        assert groups == [
+            SampleGroup(m.sample_id, m.framework, m.task_category, m.operator_count)
+            for m in manifests
+        ]

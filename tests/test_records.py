@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from tcscore.records import (
     TensorComparison,
     load_manifests,
     load_records,
+    load_sample_groups,
     manifest_from_dict,
     manifest_to_dict,
     record_from_dict,
@@ -29,6 +32,7 @@ from tcscore.records import (
     write_manifests,
     write_records,
 )
+from tcscore.simulator import SimSpec, simulate
 from tcscore.tolerance import ScalarKind
 
 GRID = tuple(float(t) for t in range(-10, 1)) + (1.0, 2.0, 3.0, 4.0)
@@ -130,6 +134,24 @@ def test_load_manifests_malformed_line_names_line(tmp_path):
         fh.write("{oops\n")
     with pytest.raises(IngestError, match=r"m\.jsonl:2"):
         load_manifests(path)
+
+
+def test_sample_groups_retain_under_a_quarter_of_manifest_memory(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifests(path, simulate(SimSpec(n_samples=2000))[0])
+
+    def retained(load) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            gc.collect()
+            assert len(loaded) == 2000
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert 4 * retained(load_sample_groups) < retained(load_manifests)
 
 
 def test_load_manifests_unknown_category_rejected(tmp_path):

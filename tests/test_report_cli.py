@@ -12,6 +12,7 @@ import pytest
 
 import tcscore
 from tcscore.cli import main
+from tcscore.graphhash import HashInput, graph_hash
 from tcscore.records import (
     CompileFailure,
     Completed,
@@ -321,6 +322,63 @@ def test_cli_validate_reports_duplicate_lines(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 1" in err and ":3:" in err
+
+
+def _mismatched_manifests(tmp_path):
+    """Eight manifests whose hashes all disagree with their inputs but one."""
+    inputs = HashInput.from_source("x = a + b", [("add", (0, 1))])
+    ids = ["m6", "m0", "ok", "m5", "m1", "m4", "m2", "m3"]
+    m_path = tmp_path / "m.jsonl"
+    write_manifests(
+        m_path,
+        [
+            SampleManifest(
+                sample_id,
+                "torch",
+                TaskCategory.CV,
+                8,
+                graph_hash(inputs) if sample_id == "ok" else "ab",
+                source_digest_inputs=inputs,
+            )
+            for sample_id in ids
+        ],
+    )
+    return m_path
+
+
+def test_cli_validate_names_hash_mismatches_in_file_order(tmp_path, capsys):
+    m_path = _mismatched_manifests(tmp_path)
+    assert main(["validate", "--manifests", str(m_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: graph_hash does not match recorded inputs for 7 samples:"
+        " 'm6', 'm0', 'm5', 'm1', 'm4'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{oops", "invalid JSON"),
+        (
+            '{"sample_id": "late", "framework": "torch", "task_category": "CV",'
+            ' "operator_count": 0, "graph_hash": "ab"}',
+            "operator_count must be >= 1",
+        ),
+        (
+            '{"sample_id": "m6", "framework": "torch", "task_category": "CV",'
+            ' "operator_count": 8, "graph_hash": "ab"}',
+            "duplicate sample_id 'm6' (first seen at line 1)",
+        ),
+    ],
+)
+def test_cli_validate_malformed_later_line_wins_over_hash_mismatch(
+    tmp_path, capsys, line, message
+):
+    m_path = _mismatched_manifests(tmp_path)
+    with m_path.open("a") as fh:
+        fh.write(line + "\n")
+    assert main(["validate", "--manifests", str(m_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {m_path}:9: {message}")
 
 
 def test_cli_validate_ok_and_join_check(tmp_path, capsys):
