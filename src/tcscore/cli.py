@@ -15,11 +15,14 @@ from . import report as reporting
 from .dataset import dedup, hash_mismatch, stats
 from .records import (
     IngestError,
+    header_to_dict,
+    jsonl_writer,
     load_manifests,
     load_records,
     load_sample_groups,
+    manifest_to_dict,
+    record_to_dict,
     write_manifests,
-    write_records,
 )
 from .scoring import ScoreConfig, join_samples, score_curve, score_level
 
@@ -188,8 +191,10 @@ def _cmd_dedup(args) -> int:
 
 def _cmd_simulate(args) -> int:
     # Deferred so that only this subcommand pays the simulator's imports.
-    from .simulator import SimSpec, records_header, simulate
+    from .simulator import SimSpec, records_header, simulate_blocks
 
+    if Path(args.manifests).resolve() == Path(args.records).resolve():
+        raise ValueError(f"--manifests and --records are the same file: {args.records}")
     spec = SimSpec()
     if args.spec is not None:
         try:
@@ -201,12 +206,15 @@ def _cmd_simulate(args) -> int:
     if args.n is not None:
         spec = replace(spec, n_samples=args.n)
     cfg = _config(args)
-    manifests, records = simulate(spec, cfg)
-    write_manifests(args.manifests, manifests)
-    write_records(args.records, records_header(spec, cfg), records)
+    # Write each block and drop it: memory stays one block whatever the count.
+    with jsonl_writer(args.manifests) as put_manifests, jsonl_writer(args.records) as put_records:
+        put_records([header_to_dict(records_header(spec, cfg))])
+        for manifests, records in simulate_blocks(spec, cfg):
+            put_manifests(map(manifest_to_dict, manifests))
+            put_records(map(record_to_dict, records))
     print(
-        f"wrote {len(manifests)} manifests to {args.manifests}"
-        f" and {len(records)} records to {args.records}"
+        f"wrote {spec.n_samples} manifests to {args.manifests}"
+        f" and {spec.n_samples} records to {args.records}"
     )
     return 0
 

@@ -9,9 +9,12 @@ problems as ``path:line: message``.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -33,6 +36,7 @@ __all__ = [
     "SampleManifest",
     "TaskCategory",
     "TensorComparison",
+    "jsonl_writer",
     "load_manifests",
     "load_records",
     "load_sample_groups",
@@ -417,20 +421,45 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
 
 def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
     """Write manifests as canonical JSON lines (sorted keys, compact)."""
-    _write_json_lines(path, (manifest_to_dict(m) for m in manifests))
+    with jsonl_writer(path) as write:
+        write(map(manifest_to_dict, manifests))
 
 
 def write_records(
     path: str | Path, header: RecordsHeader, records: Iterable[RunRecord]
 ) -> None:
     """Write the header line followed by one record per line."""
+    with jsonl_writer(path) as write:
+        write([header_to_dict(header)])
+        write(map(record_to_dict, records))
 
-    def lines() -> Iterator[dict[str, Any]]:
-        yield header_to_dict(header)
-        for record in records:
-            yield record_to_dict(record)
 
-    _write_json_lines(path, lines())
+@contextmanager
+def jsonl_writer(path: str | Path) -> Iterator[Callable[[Iterable[dict[str, Any]]], None]]:
+    """Yield a function that appends objects to ``path`` as canonical JSON lines.
+
+    Lines go to a temporary sibling of ``path`` (symlinks resolved) that
+    replaces it when the block ends cleanly and is deleted on any
+    exception, so ``path`` holds either its old bytes or every line.
+    """
+    target = Path(path).resolve()
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = temporary.open("w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield lambda objs: fh.writelines(_encode_line(obj) + "\n" for obj in objs)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 _Item = TypeVar("_Item", SampleManifest, SampleGroup, RunRecord)
@@ -475,13 +504,6 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, obj
-
-
-def _write_json_lines(path: str | Path, objs: Iterable[dict[str, Any]]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
 
 
 def _expect_str(data: Mapping[str, Any], key: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "min_passing_tolerance",
     "records_header",
     "simulate",
+    "simulate_blocks",
 ]
 
 _OP_VOCAB = (
@@ -212,21 +213,30 @@ def simulate(
     injected noise through the tolerance schedules; accuracy-violation
     samples carry comparisons that never pass; crashes and compile
     failures carry the corresponding outcome and no compiled time.
+    """
+    manifests: list[SampleManifest] = []
+    records: list[RunRecord] = []
+    for block_manifests, block_records in simulate_blocks(spec, cfg):
+        manifests += block_manifests
+        records += block_records
+    return manifests, records
 
-    Samples are drawn in blocks of ``BLOCK``; see ``_simulate_block`` for
-    the order of the draws within a block.
+
+def simulate_blocks(
+    spec: SimSpec, cfg: ScoreConfig | None = None
+) -> Iterator[tuple[list[SampleManifest], list[RunRecord]]]:
+    """Yield ``simulate``'s output one block of ``BLOCK`` samples at a time.
+
+    The blocks, in order, concatenate to ``simulate(spec, cfg)``; see
+    ``_simulate_block`` for the order of the draws within a block. A law
+    whose draws leave float range raises when its block is drawn.
     """
     cfg = cfg or ScoreConfig()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     numeric_grid = tuple(t for t in cfg.grid if t <= 0)
-    manifests: list[SampleManifest] = []
-    records: list[RunRecord] = []
     for start in range(0, spec.n_samples, BLOCK):
         ids = range(start, min(start + BLOCK, spec.n_samples))
-        block_manifests, block_records = _simulate_block(rng, spec, numeric_grid, ids)
-        manifests += block_manifests
-        records += block_records
-    return manifests, records
+        yield _simulate_block(rng, spec, numeric_grid, ids)
 
 
 def _simulate_block(

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import statistics
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tcscore.simulator
+from tcscore.cli import main
 from tcscore.records import Completed, CompileFailure, RuntimeCrash
 from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
+    BLOCK,
     ErrorRates,
     SimSpec,
     SpeedupLaw,
@@ -196,3 +204,117 @@ def test_end_to_end_pipeline_completes():
     manifests, records = simulate(spec, CFG)
     curve = score_curve(manifests, records, CFG)
     assert len(curve.points) == len(CFG.grid)
+
+
+def _cli_outputs(directory: Path) -> list[str]:
+    return ["--manifests", str(directory / "m.jsonl"), "--records", str(directory / "r.jsonl")]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_cli_streams_the_bytes_the_library_writes(n, seed):
+    spec = SimSpec(seed=seed, n_samples=n)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert main(["simulate", "--seed", str(seed), "--n", str(n), *_cli_outputs(directory)]) == 0
+        manifests, records = simulate(spec, CFG)
+        write_manifests(directory / "lib_m.jsonl", manifests)
+        write_records(directory / "lib_r.jsonl", records_header(spec, CFG), records)
+        for streamed, written in (("m.jsonl", "lib_m.jsonl"), ("r.jsonl", "lib_r.jsonl")):
+            assert (directory / streamed).read_bytes() == (directory / written).read_bytes()
+
+
+def test_cli_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--seed", "5", "--n", str(n), *_cli_outputs(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(BLOCK)  # imports and first-call caches are not the simulation's memory
+    small, large = peak(4 * BLOCK), peak(32 * BLOCK)
+    assert large < 2 * small, f"peak {large} B at n={32 * BLOCK} vs {small} B at n={4 * BLOCK}"
+
+
+def _same_file_pairs(tmp_path: Path) -> list[tuple[str, str]]:
+    (tmp_path / "sub").mkdir()
+    os.symlink(tmp_path / "x.jsonl", tmp_path / "link.jsonl")
+    x = str(tmp_path / "x.jsonl")
+    return [
+        (x, x),
+        (x, str(tmp_path / "sub" / ".." / "x.jsonl")),
+        (x, str(tmp_path / "link.jsonl")),
+    ]
+
+
+def test_cli_simulate_refuses_one_path_for_both_outputs(tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate drew samples before checking its outputs")
+
+    monkeypatch.setattr(tcscore.simulator, "_simulate_block", no_draws)
+    for manifests, records in _same_file_pairs(tmp_path):
+        assert main(["simulate", "--n", "3", "--manifests", manifests, "--records", records]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --manifests and --records are the same file: {records}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "sub"]
+
+
+@pytest.mark.parametrize(
+    "manifests, records, bad, reason",
+    [
+        ("m2.jsonl", "nodir/r.jsonl", "nodir/r.jsonl", "[Errno 2] No such file or directory"),
+        # A directory as the manifests target must fail before the records file lands.
+        ("outdir", "r2.jsonl", "outdir", "[Errno 21] Is a directory"),
+    ],
+)
+def test_cli_simulate_leaves_no_output_when_a_target_cannot_be_written(
+    tmp_path, capsys, monkeypatch, manifests, records, bad, reason
+):
+    monkeypatch.chdir(tmp_path)
+    Path("outdir").mkdir()
+    for name in ("m2.jsonl", "r2.jsonl"):
+        Path(name).write_bytes(b"keep me\n")
+    argv = ["simulate", "--n", "3", "--manifests", manifests, "--records", records]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}: {bad!r}\n"
+    assert sorted(os.listdir()) == ["m2.jsonl", "outdir", "r2.jsonl"]
+    assert os.listdir("outdir") == []
+    for name in ("m2.jsonl", "r2.jsonl"):
+        assert Path(name).read_bytes() == b"keep me\n"
+
+
+# Found by search: with float32 noise at 1.805e306 an output's magnitude
+# passes float max only when its noise exponent draws above about 1.998,
+# for about 1 output in 2000; for seed 0 the first two blocks stay in
+# range and the third does not.
+LATE_OVERFLOW_SEED = 0
+LATE_OVERFLOW_SPEC = {"noise_law": {"float32": 1.805e306}, "n_samples": 3 * BLOCK}
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_law_leaving_float_range_in_a_later_block_writes_nothing(tmp_path, capsys, existing):
+    spec = SimSpec.from_dict({**LATE_OVERFLOW_SPEC, "seed": LATE_OVERFLOW_SEED})
+    blocks = tcscore.simulator.simulate_blocks(spec, CFG)
+    next(blocks), next(blocks)
+    with pytest.raises(ValueError, match="^noise_law: draws leave float range$"):
+        next(blocks)
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(LATE_OVERFLOW_SPEC))
+    old = {name: b"old " + name.encode() for name in ("m.jsonl", "r.jsonl") if existing}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    argv = ["simulate", "--spec", str(spec_path), "--seed", str(LATE_OVERFLOW_SEED)]
+    assert main([*argv, *_cli_outputs(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: noise_law: draws leave float range\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*old, "spec.json"])
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data
