@@ -15,13 +15,10 @@ from . import report as reporting
 from .dataset import dedup, hash_mismatch, stats
 from .records import (
     IngestError,
-    header_to_dict,
     jsonl_writer,
     load_manifests,
     load_records,
     load_sample_groups,
-    manifest_to_dict,
-    record_to_dict,
     write_manifests,
 )
 from .scoring import ScoreConfig, join_samples, score_curve, score_level
@@ -207,11 +204,11 @@ def _cmd_simulate(args) -> int:
         spec = replace(spec, n_samples=args.n)
     cfg = _config(args)
     # Write each block and drop it: memory stays one block whatever the count.
-    with jsonl_writer(args.manifests) as put_manifests, jsonl_writer(args.records) as put_records:
-        put_records([header_to_dict(records_header(spec, cfg))])
+    header = records_header(spec, cfg)
+    with jsonl_writer(args.manifests) as put_manifests, jsonl_writer(args.records, header) as put_records:
         for manifests, records in simulate_blocks(spec, cfg):
-            put_manifests(map(manifest_to_dict, manifests))
-            put_records(map(record_to_dict, records))
+            put_manifests(manifests)
+            put_records(records)
     print(
         f"wrote {spec.n_samples} manifests to {args.manifests}"
         f" and {spec.n_samples} records to {args.records}"

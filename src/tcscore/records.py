@@ -422,37 +422,44 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
 def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
     """Write manifests as canonical JSON lines (sorted keys, compact)."""
     with jsonl_writer(path) as write:
-        write(map(manifest_to_dict, manifests))
+        write(manifests)
 
 
 def write_records(
     path: str | Path, header: RecordsHeader, records: Iterable[RunRecord]
 ) -> None:
     """Write the header line followed by one record per line."""
-    with jsonl_writer(path) as write:
-        write([header_to_dict(header)])
-        write(map(record_to_dict, records))
+    with jsonl_writer(path, header) as write:
+        write(records)
 
 
 @contextmanager
-def jsonl_writer(path: str | Path) -> Iterator[Callable[[Iterable[dict[str, Any]]], None]]:
-    """Yield a function that appends objects to ``path`` as canonical JSON lines.
+def jsonl_writer(
+    path: str | Path, header: RecordsHeader | None = None
+) -> Iterator[Callable[[Iterable[Any]], None]]:
+    """Yield a function that appends manifests, or records after ``header``, to ``path``.
 
-    Lines go to a temporary sibling of ``path`` (symlinks resolved) that
-    replaces it when the block ends cleanly and is deleted on any
-    exception, so ``path`` holds either its old bytes or every line.
+    Given a ``header``, the file is a records file: the header line, then
+    one line per record; otherwise one line per manifest. Lines go to a
+    temporary sibling of ``path`` (symlinks resolved) that replaces it
+    when the block ends cleanly and is deleted on any exception, so
+    ``path`` holds either its old bytes or every line. An existing target
+    that is not a regular file (a directory, pipe or device) is refused.
     """
+    to_dict = manifest_to_dict if header is None else record_to_dict
     target = Path(path).resolve()
+    if target.exists() and not target.is_file():
+        raise OSError(errno.EINVAL, "not a regular file", str(path))
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        if target.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fh = temporary.open("w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            yield lambda objs: fh.writelines(_encode_line(obj) + "\n" for obj in objs)
+            if header is not None:
+                fh.write(_encode_line(header_to_dict(header)) + "\n")
+            yield lambda items: fh.writelines(_encode_line(to_dict(i)) + "\n" for i in items)
         os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)

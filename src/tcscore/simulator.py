@@ -214,12 +214,8 @@ def simulate(
     samples carry comparisons that never pass; crashes and compile
     failures carry the corresponding outcome and no compiled time.
     """
-    manifests: list[SampleManifest] = []
-    records: list[RunRecord] = []
-    for block_manifests, block_records in simulate_blocks(spec, cfg):
-        manifests += block_manifests
-        records += block_records
-    return manifests, records
+    blocks = list(simulate_blocks(spec, cfg))
+    return [m for ms, _ in blocks for m in ms], [r for _, rs in blocks for r in rs]
 
 
 def simulate_blocks(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import stat
 import statistics
 import tempfile
 import tracemalloc
@@ -227,6 +229,7 @@ def test_cli_streams_the_bytes_the_library_writes(n, seed):
 
 def test_cli_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
     def peak(n: int) -> int:
+        gc.collect()  # both runs start from the same collector state
         tracemalloc.start()
         try:
             assert main(["simulate", "--seed", "5", "--n", str(n), *_cli_outputs(tmp_path)]) == 0
@@ -268,7 +271,7 @@ def test_cli_simulate_refuses_one_path_for_both_outputs(tmp_path, capsys, monkey
     [
         ("m2.jsonl", "nodir/r.jsonl", "nodir/r.jsonl", "[Errno 2] No such file or directory"),
         # A directory as the manifests target must fail before the records file lands.
-        ("outdir", "r2.jsonl", "outdir", "[Errno 21] Is a directory"),
+        ("outdir", "r2.jsonl", "outdir", "[Errno 22] not a regular file"),
     ],
 )
 def test_cli_simulate_leaves_no_output_when_a_target_cannot_be_written(
@@ -287,6 +290,23 @@ def test_cli_simulate_leaves_no_output_when_a_target_cannot_be_written(
     assert os.listdir("outdir") == []
     for name in ("m2.jsonl", "r2.jsonl"):
         assert Path(name).read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize("via_symlink", [False, True])
+def test_cli_simulate_refuses_a_pipe_target_and_leaves_it_in_place(tmp_path, capsys, via_symlink):
+    # Replacing a pipe (or a device) with a regular file would leave its reader waiting.
+    os.mkfifo(tmp_path / "pipe")
+    records = tmp_path / "pipe"
+    if via_symlink:
+        os.symlink(records, tmp_path / "link")
+        records = tmp_path / "link"
+    argv = ["simulate", "--n", "3", "--manifests", str(tmp_path / "m.jsonl"), "--records", str(records)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 22] not a regular file: {str(records)!r}\n"
+    assert stat.S_ISFIFO((tmp_path / "pipe").stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pipe"][1 - via_symlink :]
 
 
 # Found by search: with float32 noise at 1.805e306 an output's magnitude
