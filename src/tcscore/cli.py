@@ -21,7 +21,7 @@ from .records import (
     load_sample_groups,
     write_manifests,
 )
-from .scoring import ScoreConfig, join_samples, score_curve, score_level
+from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -125,9 +125,9 @@ def _config(args, header=None) -> ScoreConfig:
     With a header, every numeric level (t <= 0) of ``--grid`` must be one
     the records producer measured.
     """
-    cfg = ScoreConfig() if header is None else ScoreConfig.from_header(header)
+    cfg = DEFAULT_CONFIG if header is None else ScoreConfig.from_header(header)
     grid = cfg.grid
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         grid = _parse_grid(args.grid)
         if header is not None:
             unmeasured = [t for t in grid if t <= 0 and t not in header.grid]

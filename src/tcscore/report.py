@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import StatsReport
 from .records import ManifestFields, RunRecord
-from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
+from .scoring import DEFAULT_CONFIG, CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
 
 __all__ = [
     "CURVE_COLUMNS",
@@ -142,7 +142,7 @@ def violin_data(
     samples contribute nothing, but every group present in the manifests
     appears, possibly with an empty list.
     """
-    cfg = cfg or ScoreConfig()
+    cfg = cfg or DEFAULT_CONFIG
     pairs = join_samples(manifests, records)
     groups: dict[tuple[str, str], list[float]] = {}
     for manifest, _ in pairs:

@@ -27,6 +27,7 @@ from .records import (
 __all__ = [
     "ClassifiedSample",
     "CurvePoint",
+    "DEFAULT_CONFIG",
     "ErrorCode",
     "ScoreComponents",
     "ScoreConfig",
@@ -85,11 +86,15 @@ class ScoreConfig:
         """Adopt a records-file header; default levels > 0 fill in if it has none."""
         grid = header.grid
         if grid[-1] <= 0:
-            grid += tuple(t for t in cls().grid if t > 0)
+            grid += tuple(t for t in DEFAULT_CONFIG.grid if t > 0)
         return cls(header.p, header.b, grid)
 
 
-@dataclass(frozen=True)
+# The settings used wherever a caller passes no ScoreConfig.
+DEFAULT_CONFIG = ScoreConfig()
+
+
+@dataclass(frozen=True, slots=True)
 class ClassifiedSample:
     """A sample's status at one tolerance level.
 
@@ -153,25 +158,20 @@ def classify(
     therefore never reclassifies a sample as correct, it only relaxes the
     penalty applied downstream.
     """
-    cfg = cfg or ScoreConfig()
     t = float(t)
-    if t not in cfg.grid:
+    if t not in (cfg or DEFAULT_CONFIG).grid:
         raise ValueError(f"level {t} is not on the configured grid")
-    outcome = record.outcome
+    outcome, sample_id = record.outcome, record.sample_id
     if isinstance(outcome, CompileFailure):
-        return ClassifiedSample.erroneous(record.sample_id, ErrorCode.COMPILE_FAILURE)
+        return ClassifiedSample(sample_id, None, ErrorCode.COMPILE_FAILURE)
     if isinstance(outcome, RuntimeCrash):
-        return ClassifiedSample.erroneous(record.sample_id, ErrorCode.RUNTIME_CRASH)
+        return ClassifiedSample(sample_id, None, ErrorCode.RUNTIME_CRASH)
     cutoff = min(t, 0.0)
-    passes = all(
-        c.min_passing_t is not None and c.min_passing_t <= cutoff
-        for c in outcome.comparisons
-    )
-    if not passes:
-        return ClassifiedSample.erroneous(record.sample_id, ErrorCode.ACCURACY)
-    return ClassifiedSample.correct(
-        record.sample_id, record.eager_time_s / record.compiled_time_s
-    )
+    for comparison in outcome.comparisons:
+        passing = comparison.min_passing_t
+        if passing is None or not passing <= cutoff:
+            return ClassifiedSample(sample_id, None, ErrorCode.ACCURACY)
+    return ClassifiedSample(sample_id, record.eager_time_s / record.compiled_time_s)
 
 
 def components(
@@ -346,6 +346,6 @@ def score_curve(
     cfg: ScoreConfig | None = None,
 ) -> ScoreCurve:
     """Classify and score the dataset at every grid level."""
-    cfg = cfg or ScoreConfig()
+    cfg = cfg or DEFAULT_CONFIG
     join_samples(manifests, records)
     return ScoreCurve(tuple(score_level(records, t, cfg) for t in cfg.grid))

@@ -33,7 +33,7 @@ from .records import (
     _expect_real,
     _expect_str,
 )
-from .scoring import ScoreConfig
+from .scoring import DEFAULT_CONFIG, ScoreConfig
 from .tolerance import ScalarKind, atol, rtol
 
 __all__ = [
@@ -227,7 +227,7 @@ def simulate_blocks(
     ``_simulate_block`` for the order of the draws within a block. A law
     whose draws leave float range raises when its block is drawn.
     """
-    cfg = cfg or ScoreConfig()
+    cfg = cfg or DEFAULT_CONFIG
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     numeric_grid = tuple(t for t in cfg.grid if t <= 0)
     for start in range(0, spec.n_samples, BLOCK):

@@ -16,7 +16,12 @@ with noise magnitudes and fault rates, and holds ``validate`` to its
 promise: whenever it accepts the simulated files, every scoring,
 rendering and dataset subcommand accepts them too, in every format.
 
-The fourth holds the two manifest loaders to one contract: on every
+The fourth holds ``validate`` to the same promise on hand-written files:
+header grids with and without positive levels, every outcome kind,
+passing levels null, on the grid or off it, and times out to the edges
+of float range.
+
+The fifth holds the two manifest loaders to one contract: on every
 corrupted manifests file, ``load_sample_groups`` fails with the same
 error as ``load_manifests``, or both load and the groups are the
 manifests' projection.
@@ -36,7 +41,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.cli import main
-from tcscore.records import IngestError, SampleGroup, load_manifests, load_sample_groups
+from tcscore.records import (
+    IngestError,
+    SampleGroup,
+    TaskCategory,
+    load_manifests,
+    load_sample_groups,
+)
 
 N_SAMPLES = 12
 DROP = "<drop key>"
@@ -231,12 +242,76 @@ def test_validated_files_pass_every_command(seed, laws):
             return
         assert code == 0, err
         assert _run(["validate", *both]) == (0, "")
-        argvs = [["score", *both], ["dedup", "--manifests", m_path, "--out", str(work / "k.jsonl")]]
-        for fmt in ("csv", "json", "md"):
-            argvs += [[command, *both, "--format", fmt] for command in ("curve", "report", "violin")]
-            argvs.append(["stats", "--manifests", m_path, "--format", fmt])
-        for argv in argvs:
-            assert _run(argv) == (0, ""), argv
+        _assert_every_command_accepts(work)
+
+
+def _assert_every_command_accepts(work: Path) -> None:
+    """Every scoring, rendering and dataset command accepts ``work``'s files."""
+    m_path, r_path = str(work / "m.jsonl"), str(work / "r.jsonl")
+    both = ["--manifests", m_path, "--records", r_path]
+    argvs = [["score", *both], ["dedup", "--manifests", m_path, "--out", str(work / "k.jsonl")]]
+    for fmt in ("csv", "json", "md"):
+        argvs += [[command, *both, "--format", fmt] for command in ("curve", "report", "violin")]
+        argvs.append(["stats", "--manifests", m_path, "--format", fmt])
+    for argv in argvs:
+        assert _run(argv) == (0, ""), argv
+
+
+# Times: ordinary ones, and the smallest subnormal, smallest normal and
+# largest finite doubles, so speedups underflow or overflow.
+EDGE_TIMES = st.one_of(
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0]),
+)
+OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def hand_written(draw) -> tuple[dict, list[dict], list[dict]]:
+    numeric = draw(st.lists(st.integers(-12, -1), unique=True, max_size=5))
+    positive = draw(st.lists(st.sampled_from([0.5, 1, 2, 3, 4, 6]), unique=True, max_size=4))
+    grid = sorted({*map(float, numeric), 0.0, *map(float, positive)})
+    header = {"grid": grid, "p": draw(OPEN_UNIT), "b": draw(OPEN_UNIT), "producer": "hand"}
+    passing = st.one_of(st.none(), st.sampled_from(grid))
+    if draw(st.booleans()):  # then validate rejects nearly every file
+        passing |= st.floats(-20, 20)
+    manifests, records = [], []
+    for i in range(draw(st.integers(1, 5))):
+        sample_id = f"h{i}"
+        manifests.append({
+            "sample_id": sample_id,
+            "framework": draw(st.sampled_from(["torch", "paddle"])),
+            "task_category": draw(st.sampled_from([c.value for c in TaskCategory])),
+            "operator_count": draw(st.integers(1, 2**40)),
+            "graph_hash": f"{i:064x}",
+        })
+        record = {"sample_id": sample_id, "eager_time_s": draw(EDGE_TIMES),
+                  "warmup_iters": 0, "timed_iters": 1}
+        kind = draw(st.sampled_from(["completed", "runtime_crash", "compile_failure"]))
+        if kind == "completed":
+            comparisons = draw(st.lists(passing, min_size=1, max_size=3))
+            record["outcome"] = {"kind": kind, "comparisons": [
+                {"tensor_index": j, "kind": "float32", "min_passing_t": t}
+                for j, t in enumerate(comparisons)
+            ]}
+            record["compiled_time_s"] = draw(EDGE_TIMES)
+        else:
+            record["outcome"] = {"kind": kind, "message": "boom"}
+        records.append(record)
+    return header, manifests, records
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=hand_written())
+def test_validated_hand_written_files_pass_every_command(files):
+    header, manifests, records = files
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "m.jsonl").write_text("".join(json.dumps(m) + "\n" for m in manifests))
+        (work / "r.jsonl").write_text("".join(json.dumps(r) + "\n" for r in [header, *records]))
+        both = ["--manifests", str(work / "m.jsonl"), "--records", str(work / "r.jsonl")]
+        if _run(["validate", *both])[0] == 0:
+            _assert_every_command_accepts(work)
 
 
 @settings(max_examples=60, deadline=None)

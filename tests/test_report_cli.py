@@ -241,13 +241,25 @@ def test_cli_score_off_grid_level_fails(tmp_path, capsys):
 
 def test_cli_grid_levels_must_be_measured_and_ascending(tmp_path, capsys):
     manifests, records = small_dataset()
-    _, r_path = write_dataset(tmp_path, manifests, records)
+    m_path, r_path = write_dataset(tmp_path, manifests, records)
     code = main(["score", "--records", r_path, "--grid=-7,-6.5,0,1,2,3,4", "--t=-6.5"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.rstrip().endswith("grid: -6.5")
     assert main(["score", "--records", r_path, "--grid=1,0", "--t=0"]) == 1
     assert "ascending" in capsys.readouterr().err
+    # An explicitly empty --grid is an error, not "no --grid".
+    both = ["--manifests", m_path, "--records", r_path]
+    simulated = ["--manifests", str(tmp_path / "sm.jsonl"), "--records", str(tmp_path / "sr.jsonl")]
+    for argv in (
+        ["score", "--records", r_path],
+        ["curve", *both],
+        ["report", *both],
+        ["violin", *both],
+        ["simulate", "--n", "3", *simulated],
+    ):
+        assert main([*argv, "--grid="]) == 1, argv
+        assert capsys.readouterr().err.startswith("error: bad grid ''"), argv
 
 
 @pytest.mark.parametrize(

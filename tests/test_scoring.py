@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,13 @@ def test_classified_sample_validation():
         ClassifiedSample.correct("x", float("inf"))
 
 
+def test_classified_sample_is_slotted_and_frozen():
+    sample = correct(2.0)
+    assert not hasattr(sample, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        sample.speedup = 3.0
+
+
 def test_classify_correct_at_strictest_level():
     sample = classify(completed_record(levels=(-10.0, -10.0)), -10.0, CFG)
     assert sample.is_correct and sample.speedup == 2.0
@@ -118,6 +126,37 @@ def test_classify_mixed_dtypes_use_worst_comparison():
 def test_classify_rejects_off_grid_level():
     with pytest.raises(ValueError, match="grid"):
         classify(completed_record(), -0.5, CFG)
+
+
+@st.composite
+def run_records(draw):
+    kind = draw(st.sampled_from(("completed", "runtime_crash", "compile_failure")))
+    eager = draw(st.floats(1e-6, 1e3))
+    if kind == "runtime_crash":
+        return RunRecord("r", eager, RuntimeCrash("boom"))
+    if kind == "compile_failure":
+        return RunRecord("r", eager, CompileFailure("nope"))
+    levels = draw(st.lists(st.one_of(st.none(), st.sampled_from(CFG.grid)), min_size=1, max_size=3))
+    return completed_record("r", levels, eager, draw(st.floats(1e-6, 1e3)))
+
+
+@given(run_records())
+@settings(max_examples=200)
+def test_classify_matches_its_definition_at_every_level(record):
+    outcome = record.outcome
+    for t in CFG.grid:
+        sample = classify(record, t, CFG)
+        assert sample.sample_id == record.sample_id
+        if isinstance(outcome, CompileFailure):
+            assert sample.error_code is ErrorCode.COMPILE_FAILURE and sample.speedup is None
+        elif isinstance(outcome, RuntimeCrash):
+            assert sample.error_code is ErrorCode.RUNTIME_CRASH and sample.speedup is None
+        elif all(c.min_passing_t is not None and c.min_passing_t <= min(t, 0.0)
+                 for c in outcome.comparisons):
+            assert sample.error_code is None
+            assert sample.speedup == record.eager_time_s / record.compiled_time_s
+        else:
+            assert sample.error_code is ErrorCode.ACCURACY and sample.speedup is None
 
 
 def test_components_all_unit_speedups():
