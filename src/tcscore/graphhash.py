@@ -19,7 +19,7 @@ __all__ = ["HashInput", "Topology", "graph_hash", "normalize_source"]
 Topology = tuple[tuple[str, tuple[int, ...]], ...]
 
 _COMMENT = re.compile(r"#[^\n]*")
-_WHITESPACE = re.compile(r"\s+")
+_encode_topology = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def normalize_source(text: str) -> str:
@@ -28,25 +28,33 @@ def normalize_source(text: str) -> str:
     Every '#' starts a comment running to the end of its line; runs of
     whitespace (including newlines) collapse to a single space and the
     ends are trimmed. Identifier names are kept as written. The result is
-    a fixed point: normalize(normalize(s)) == normalize(s).
+    a fixed point: normalize(normalize(s)) == normalize(s). ``str.split``
+    splits on exactly the characters ``re``'s ``\\s`` matches.
     """
-    return _WHITESPACE.sub(" ", _COMMENT.sub("", text)).strip()
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    return " ".join(text.split())
+
+
+_BAD_TOPOLOGY = "topology must be a nonempty list of [op string, list of integer indices]"
 
 
 def _freeze_topology(topology: Sequence) -> Topology:
     # Exact types: JSON booleans are ints to isinstance.
-    if type(topology) not in (list, tuple) or not topology or not all(
-        type(entry) in (list, tuple)
-        and len(entry) == 2
-        and type(entry[0]) is str
-        and type(entry[1]) in (list, tuple)
-        and all(type(i) is int for i in entry[1])
-        for entry in topology
-    ):
-        raise ValueError(
-            "topology must be a nonempty list of [op string, list of integer indices]"
-        )
-    return tuple((op, tuple(inputs)) for op, inputs in topology)
+    if type(topology) not in (list, tuple) or not topology:
+        raise ValueError(_BAD_TOPOLOGY)
+    frozen = []
+    for entry in topology:
+        if type(entry) not in (list, tuple) or len(entry) != 2:
+            raise ValueError(_BAD_TOPOLOGY)
+        op, inputs = entry
+        if type(op) is not str or type(inputs) not in (list, tuple):
+            raise ValueError(_BAD_TOPOLOGY)
+        for i in inputs:
+            if type(i) is not int:
+                raise ValueError(_BAD_TOPOLOGY)
+        frozen.append((op, tuple(inputs)))
+    return tuple(frozen)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +84,6 @@ def graph_hash(h: HashInput) -> str:
     how the input was constructed.
     """
     source = normalize_source(h.normalized_source)
-    topology = json.dumps(
-        [[op, list(inputs)] for op, inputs in h.topology],
-        separators=(",", ":"),
-    )
+    topology = _encode_topology(h.topology)
     payload = source.encode("utf-8") + b"\x1f" + topology.encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -59,14 +59,14 @@ class TaskCategory(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "TaskCategory":
-        try:
-            return cls(name)
-        except ValueError:
-            expected = ", ".join(c.value for c in cls)
-            raise ValueError(
-                f"unknown task_category {name!r} (expected one of: {expected})"
-            ) from None
+        category = _CATEGORIES.get(name)
+        if category is None:
+            expected = ", ".join(_CATEGORIES)
+            raise ValueError(f"unknown task_category {name!r} (expected one of: {expected})")
+        return category
 
+
+_CATEGORIES = {category.value: category for category in TaskCategory}
 
 _HEX_DIGEST = re.compile(r"[0-9a-fA-F]+\Z")
 
@@ -301,9 +301,9 @@ def record_from_dict(
             tuple(_comparison_from_dict(c, grid) for c in raw_comparisons)
         )
     elif outcome_kind == "runtime_crash":
-        outcome = RuntimeCrash(str(raw_outcome.get("message", "")))
+        outcome = RuntimeCrash(_expect_str(raw_outcome, "message", ""))
     elif outcome_kind == "compile_failure":
-        outcome = CompileFailure(str(raw_outcome.get("message", "")))
+        outcome = CompileFailure(_expect_str(raw_outcome, "message", ""))
     else:
         raise ValueError(f"unknown outcome kind {outcome_kind!r}")
     compiled = data.get("compiled_time_s")
@@ -322,7 +322,7 @@ def record_from_dict(
 def _comparison_from_dict(
     data: Any, grid: frozenset[float] | None
 ) -> TensorComparison:
-    if not isinstance(data, Mapping):
+    if type(data) is not dict:
         raise ValueError("comparison entries must be objects")
     level = data.get("min_passing_t")
     if level is not None:
@@ -513,16 +513,18 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, obj
 
 
-def _expect_str(data: Mapping[str, Any], key: str) -> str:
-    value = data.get(key)
-    if not isinstance(value, str):
+# The checks below test the exact types ``json.loads`` builds; ``type(v)
+# is int`` also excludes ``bool``.
+def _expect_str(data: Mapping[str, Any], key: str, default: str | None = None) -> str:
+    value = data.get(key, default)
+    if type(value) is not str:
         raise ValueError(f"{key} must be a string")
     return value
 
 
 def _expect_int(data: Mapping[str, Any], key: str) -> int:
     value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValueError(f"{key} must be an integer")
     return value
 
@@ -536,15 +538,11 @@ def _expect_real(data: Mapping[str, Any], key: str) -> float:
 
 def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     value = data.get(key)
-    if not isinstance(value, Mapping):
+    if type(value) is not dict:
         raise ValueError(f"{key} must be an object")
     return value
 
 
 def _is_real(value: Any) -> bool:
     # Finite and within float range: rejects NaN, infinities and huge integers.
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and abs(value) <= sys.float_info.max
-    )
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max

@@ -35,10 +35,10 @@ class ScalarKind(Enum):
     @classmethod
     def from_name(cls, name: str) -> "ScalarKind":
         """Parse a kind name; unknown names fall back to OTHER."""
-        try:
-            return cls(name)
-        except ValueError:
-            return cls.OTHER
+        return _KINDS.get(name, cls.OTHER)
+
+
+_KINDS = {kind.value: kind for kind in ScalarKind}
 
 
 # (atol slope, rtol slope) per kind: tolerance(t) = 10**(slope * t). A

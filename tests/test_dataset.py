@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,15 @@ def test_normalize_keeps_identifier_names():
 def test_normalize_is_idempotent(text):
     once = normalize_source(text)
     assert normalize_source(once) == once
+
+
+@given(st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000#abxyz"))
+@settings(max_examples=500, deadline=None)
+def test_normalize_matches_two_regex_passes(text):
+    # str.split() and re's \s agree on every whitespace character; only
+    # '\n' ends a comment.
+    expected = re.sub(r"\s+", " ", re.sub(r"#[^\n]*", "", text)).strip()
+    assert normalize_source(text) == expected
 
 
 def test_hash_ignores_comments_and_whitespace():
@@ -73,6 +83,22 @@ def test_hash_golden_vector():
     golden = json.loads((DATA_DIR / "graph_hash_golden.json").read_text())
     h = HashInput.from_source(golden["normalized_source"], golden["topology"])
     assert graph_hash(h) == golden["sha256"]
+
+
+def test_hash_golden_vector_with_comments_and_unicode_whitespace():
+    source = (
+        "def f(x0, w):  # entry\n"
+        "\tx1 = matmul(x0,\u3000w)\x0b\r\n"
+        "  x2 = add(x1, x0) # residual\x85x9 = x2 "
+        "\xa0return x2\x1c# out\n"
+    )
+    lists = [["matmul", [0, 1]], ["add", [2, 0]], ["relu", [3]]]
+    tuples = (("matmul", (0, 1)), ("add", (2, 0)), ("relu", (3,)))
+    expected = "e3a4d3443d6ac255e47e5acdd3f2fca622a2cf495f6d55ece7e528f713c9b05e"
+    for topology in (lists, tuples):
+        h = HashInput.from_source(source, topology)
+        assert h.normalized_source == "def f(x0, w): x1 = matmul(x0, w) x2 = add(x1, x0)"
+        assert graph_hash(h) == expected
 
 
 def test_dedup_all_distinct():

@@ -5,13 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.cli import main
-from tcscore.graphhash import HashInput
+from tcscore.graphhash import HashInput, graph_hash
 from tcscore.records import (
     CompileFailure,
     Completed,
@@ -207,6 +208,65 @@ def test_load_records_validation_errors_located(tmp_path):
     path.write_text("\n".join([good[0], json.dumps(bad)]) + "\n")
     with pytest.raises(IngestError, match=r"r\.jsonl:2.*eager_time_s"):
         load_records(path)
+
+
+# (file, line, where in that line's object, value, message): values of the
+# wrong JSON type, each rejected with its own located message.
+ENTRY = ("outcome", "comparisons", 0)
+WRONG_TYPES = [
+    ("m", 1, ("operator_count",), True, "operator_count must be an integer"),
+    ("m", 1, ("operator_count",), 3.0, "operator_count must be an integer"),
+    ("m", 1, ("source_digest_inputs",), "x", "source_digest_inputs must be an object"),
+    ("r", 2, ("warmup_iters",), True, "warmup_iters must be an integer"),
+    ("r", 2, ("eager_time_s",), True, "eager_time_s must be a finite number"),
+    ("r", 2, ("eager_time_s",), "1.0", "eager_time_s must be a finite number"),
+    ("r", 2, ("outcome",), [], "outcome must be an object"),
+    ("r", 2, ENTRY, 1, "comparison entries must be objects"),
+    ("r", 2, (*ENTRY, "tensor_index"), True, "tensor_index must be an integer"),
+    ("r", 2, (*ENTRY, "tensor_index"), 3.0, "tensor_index must be an integer"),
+    ("r", 2, (*ENTRY, "min_passing_t"), True, "min_passing_t must be a finite number"),
+    ("r", 2, (*ENTRY, "min_passing_t"), "1.0", "min_passing_t must be a finite number"),
+]
+
+
+@pytest.mark.parametrize("file, lineno, where, value, message", WRONG_TYPES)
+def test_load_rejects_wrong_json_types_located(
+    tmp_path, capsys, file, lineno, where, value, message
+):
+    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
+    digest = HashInput.from_source("x1 = mul(x0)", [("mul", (0,))])
+    write_manifests(
+        m_path, [make_manifest("a", graph_hash=graph_hash(digest), source_digest_inputs=digest)]
+    )
+    write_records(r_path, HEADER, [make_record("a")])
+    path = {"m": m_path, "r": r_path}[file]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    target = lines[lineno - 1]
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(IngestError, match=rf"{file}\.jsonl:{lineno}: {re.escape(message)}\Z"):
+        (load_manifests if file == "m" else load_records)(path)
+    assert main(["validate", "--manifests", str(m_path), "--records", str(r_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["runtime_crash", "compile_failure"])
+def test_load_records_outcome_message_must_be_a_string(tmp_path, capsys, kind):
+    path = tmp_path / "r.jsonl"
+    write_records(path, HEADER, [make_record("a", outcome=RuntimeCrash("x"), compiled_time_s=None)])
+    header, record = (json.loads(line) for line in path.read_text().splitlines())
+    for message in (None, [1, 2], 3):
+        record["outcome"] = {"kind": kind, "message": message}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(IngestError, match=r"r\.jsonl:2: message must be a string\Z"):
+            load_records(path)
+        assert main(["validate", "--records", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: message must be a string\n"
+    record["outcome"] = {"kind": kind}
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    assert load_records(path)[1][0].outcome.message == ""
 
 
 @pytest.mark.parametrize(
