@@ -12,15 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import report as reporting
-from .dataset import dedup, hash_mismatch, stats
-from .records import (
-    IngestError,
-    jsonl_writer,
-    load_manifests,
-    load_records,
-    load_sample_groups,
-    write_manifests,
-)
+from .dataset import dedup_file, hash_mismatch, stats
+from .records import IngestError, jsonl_writer, load_records, load_sample_groups
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
 
 __all__ = ["build_parser", "main", "run"]
@@ -179,10 +172,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dedup(args) -> int:
-    manifests = load_manifests(args.manifests)
-    kept, dropped = dedup(manifests)
-    write_manifests(args.out, kept)
-    print(f"kept {len(kept)} dropped {len(dropped)}")
+    kept, dropped = dedup_file(args.manifests, args.out)
+    print(f"kept {kept} dropped {dropped}")
     return 0
 
 
@@ -228,6 +219,8 @@ def _cmd_validate(args) -> int:
                 mismatched.append(manifest.sample_id)
 
         manifests = load_sample_groups(args.manifests, audit)
+        if not manifests:
+            raise ValueError(f"{args.manifests}: no manifests")
         if mismatched:
             preview = ", ".join(repr(s) for s in mismatched[:5])
             raise ValueError(

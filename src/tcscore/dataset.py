@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .graphhash import graph_hash
-from .records import ManifestFields, SampleManifest, TaskCategory
+from .records import ManifestFields, SampleManifest, TaskCategory, jsonl_writer, read_manifest_lines
 
-__all__ = ["StatsReport", "audit_hashes", "dedup", "hash_mismatch", "stats"]
+__all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "hash_mismatch", "stats"]
+
+_T = TypeVar("_T")
 
 
 def dedup(
@@ -21,20 +24,54 @@ def dedup(
     """
     kept: list[SampleManifest] = []
     dropped: list[SampleManifest] = []
-    seen: set[str] = set()
-    for manifest in manifests:
-        if manifest.graph_hash in seen:
-            dropped.append(manifest)
-        else:
-            seen.add(manifest.graph_hash)
-            kept.append(manifest)
+    for manifest, first in _first_by_hash((m, m) for m in manifests):
+        (kept if first else dropped).append(manifest)
     return kept, dropped
 
 
+def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
+    """Stream manifests file ``path`` to ``out``, keeping the first line of each graph hash.
+
+    Lines are checked as ``load_manifests`` checks them. A kept line is
+    written as read, stripped of surrounding whitespace, never re-encoded;
+    ``out`` is replaced only after the last line passed, so it may be
+    ``path``. Returns the (kept, dropped) line counts.
+    """
+    kept = dropped = 0
+
+    def kept_lines() -> Iterator[str]:
+        nonlocal kept, dropped
+        for text, first in _first_by_hash(read_manifest_lines(path)):
+            if first:
+                kept += 1
+                yield text
+            else:
+                dropped += 1
+
+    with jsonl_writer(out) as write:
+        write(kept_lines())
+    return kept, dropped
+
+
+def _first_by_hash(pairs: Iterable[tuple[_T, SampleManifest]]) -> Iterator[tuple[_T, bool]]:
+    """Pair each item with whether its manifest is the first with its graph hash.
+
+    Hashes compare lowercased: a manifest may spell its hex digest in
+    either case, and ``graph_hash`` emits lowercase.
+    """
+    seen: set[str] = set()
+    for item, manifest in pairs:
+        digest = manifest.graph_hash.lower()
+        first = digest not in seen
+        if first:
+            seen.add(digest)
+        yield item, first
+
+
 def hash_mismatch(manifest: SampleManifest) -> bool:
-    """Whether the stored graph_hash disagrees with the recorded inputs."""
+    """Whether the stored graph_hash, in either case, disagrees with the recorded inputs."""
     inputs = manifest.source_digest_inputs
-    return inputs is not None and graph_hash(inputs) != manifest.graph_hash
+    return inputs is not None and graph_hash(inputs) != manifest.graph_hash.lower()
 
 
 def audit_hashes(manifests: Iterable[SampleManifest]) -> list[str]:

@@ -40,6 +40,7 @@ __all__ = [
     "load_manifests",
     "load_records",
     "load_sample_groups",
+    "read_manifest_lines",
     "write_manifests",
     "write_records",
 ]
@@ -363,10 +364,19 @@ def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
     return RecordsHeader(grid, p, b, _expect_str(data, "producer"))
 
 
-def load_manifests(path: str | Path) -> list[SampleManifest]:
-    """Load a manifests file: one JSON manifest per line, unique ids."""
+def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, SampleManifest]]:
+    """Yield each line of a manifests file, stripped, with its checked manifest.
+
+    Lines are read one at a time and checked as ``load_manifests`` checks
+    them, with the same errors, raised when the bad line is reached.
+    """
     path = Path(path)
     return _ingest(path, _read_json_lines(path), manifest_from_dict)
+
+
+def load_manifests(path: str | Path) -> list[SampleManifest]:
+    """Load a manifests file: one JSON manifest per line, unique ids."""
+    return [manifest for _, manifest in read_manifest_lines(path)]
 
 
 def load_sample_groups(
@@ -392,7 +402,7 @@ def load_sample_groups(
         )
 
     path = Path(path)
-    return _ingest(path, _read_json_lines(path), parse)
+    return [group for _, group in _ingest(path, _read_json_lines(path), parse)]
 
 
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
@@ -404,7 +414,7 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     """
     path = Path(path)
     lines = _read_json_lines(path)
-    for lineno, obj in lines:
+    for lineno, _, obj in lines:
         try:
             header = header_from_dict(obj)
         except ValueError as exc:
@@ -416,7 +426,8 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
         # `violin` and the default `score` read level 0.
         raise IngestError(f"{path}:{lineno}: header grid must contain level 0")
     grid = frozenset(header.grid)
-    return header, _ingest(path, lines, lambda obj: record_from_dict(obj, grid=grid))
+    records = _ingest(path, lines, lambda obj: record_from_dict(obj, grid=grid))
+    return header, [record for _, record in records]
 
 
 def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
@@ -440,7 +451,9 @@ def jsonl_writer(
     """Yield a function that appends manifests, or records after ``header``, to ``path``.
 
     Given a ``header``, the file is a records file: the header line, then
-    one line per record; otherwise one line per manifest. Lines go to a
+    one line per record; otherwise one line per manifest. Model objects are
+    written as canonical JSON; a ``str`` is a line already encoded, written
+    as it is (a newline is added). Lines go to a
     temporary sibling of ``path`` (symlinks resolved) that replaces it
     when the block ends cleanly and is deleted on any exception, so
     ``path`` holds either its old bytes or every line. An existing target
@@ -459,7 +472,9 @@ def jsonl_writer(
         with fh:
             if header is not None:
                 fh.write(_encode_line(header_to_dict(header)) + "\n")
-            yield lambda items: fh.writelines(_encode_line(to_dict(i)) + "\n" for i in items)
+            yield lambda items: fh.writelines(
+                (i if type(i) is str else _encode_line(to_dict(i))) + "\n" for i in items
+            )
         os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -474,13 +489,12 @@ _Item = TypeVar("_Item", SampleManifest, SampleGroup, RunRecord)
 
 def _ingest(
     path: Path,
-    lines: Iterator[tuple[int, dict[str, Any]]],
+    lines: Iterator[tuple[int, str, dict[str, Any]]],
     parse: Callable[[dict[str, Any]], _Item],
-) -> list[_Item]:
-    """Parse every remaining line; sample ids must be unique."""
-    items: list[_Item] = []
+) -> Iterator[tuple[str, _Item]]:
+    """Parse every remaining line, yielding its text and item; sample ids must be unique."""
     first_seen: dict[str, int] = {}
-    for lineno, obj in lines:
+    for lineno, text, obj in lines:
         try:
             item = parse(obj)
         except ValueError as exc:
@@ -491,11 +505,11 @@ def _ingest(
                 f"{path}:{lineno}: duplicate sample_id {item.sample_id!r}"
                 f" (first seen at line {duplicate})"
             )
-        items.append(item)
-    return items
+        yield text, item
 
 
-def _read_json_lines(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
+def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:
+    """Yield each line's number, its text stripped of surrounding whitespace, and its object."""
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -510,7 +524,7 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
                 raise IngestError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+            yield lineno, stripped, obj
 
 
 # The checks below test the exact types ``json.loads`` builds; ``type(v)

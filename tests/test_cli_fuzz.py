@@ -19,7 +19,8 @@ rendering and dataset subcommand accepts them too, in every format.
 The fourth holds ``validate`` to the same promise on hand-written files:
 header grids with and without positive levels, every outcome kind,
 passing levels null, on the grid or off it, and times out to the edges
-of float range.
+of float range. Both also require ``dedup`` to write input lines, in
+input order and as they were read, accounting for every input line.
 
 The fifth holds the two manifest loaders to one contract: on every
 corrupted manifests file, ``load_sample_groups`` fails with the same
@@ -92,10 +93,11 @@ def corrupted(draw, dataset):
     return files
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of one CLI call; any warning fails the test."""
+def _run(argv: list[str], out: StringIO | None = None) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call, its stdout going to ``out``;
+    any warning fails the test."""
     err = StringIO()
-    with redirect_stdout(StringIO()), redirect_stderr(err), warnings.catch_warnings(
+    with redirect_stdout(out or StringIO()), redirect_stderr(err), warnings.catch_warnings(
         record=True
     ) as caught:
         warnings.simplefilter("always")
@@ -246,15 +248,28 @@ def test_validated_files_pass_every_command(seed, laws):
 
 
 def _assert_every_command_accepts(work: Path) -> None:
-    """Every scoring, rendering and dataset command accepts ``work``'s files."""
+    """Every scoring, rendering and dataset command accepts ``work``'s files,
+    and ``dedup`` writes a subsequence of the input lines as they were read."""
     m_path, r_path = str(work / "m.jsonl"), str(work / "r.jsonl")
     both = ["--manifests", m_path, "--records", r_path]
-    argvs = [["score", *both], ["dedup", "--manifests", m_path, "--out", str(work / "k.jsonl")]]
+    argvs = [["score", *both]]
     for fmt in ("csv", "json", "md"):
         argvs += [[command, *both, "--format", fmt] for command in ("curve", "report", "violin")]
         argvs.append(["stats", "--manifests", m_path, "--format", fmt])
     for argv in argvs:
         assert _run(argv) == (0, ""), argv
+
+    out = StringIO()
+    assert _run(["dedup", "--manifests", m_path, "--out", str(work / "k.jsonl")], out) == (0, "")
+    kept, dropped = map(int, out.getvalue().split()[1::2])
+    lines = [line.strip() for line in (work / "m.jsonl").read_bytes().split(b"\n")[:-1]]
+    kept_lines = (work / "k.jsonl").read_bytes().split(b"\n")[:-1]
+    assert kept + dropped == len(lines) and kept == len(kept_lines)
+    remaining = iter(lines)
+    assert all(line in remaining for line in kept_lines), "not input lines in input order"
+    hashes = {json.loads(line)["graph_hash"].lower() for line in lines}
+    if len(hashes) == len(lines):
+        assert (work / "k.jsonl").read_bytes() == (work / "m.jsonl").read_bytes()
 
 
 # Times: ordinary ones, and the smallest subnormal, smallest normal and

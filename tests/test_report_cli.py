@@ -231,6 +231,15 @@ def test_cli_score_empty_records_fails(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {r_path}: no records after the header\n"
 
 
+def test_cli_validate_refuses_empty_manifests(tmp_path, capsys):
+    m_path = tmp_path / "m.jsonl"
+    m_path.write_text("")
+    assert main(["stats", "--manifests", str(m_path)]) == 1
+    assert capsys.readouterr().err == "error: no manifests\n"
+    assert main(["validate", "--manifests", str(m_path)]) == 1
+    assert capsys.readouterr().err == f"error: {m_path}: no manifests\n"
+
+
 def test_cli_score_off_grid_level_fails(tmp_path, capsys):
     manifests, records = small_dataset()
     _, r_path = write_dataset(tmp_path, manifests, records)
