@@ -141,10 +141,26 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _load_manifests(path, inspect=None):
+    """``load_sample_groups``, refusing a file without manifests."""
+    manifests = load_sample_groups(path, inspect)
+    if not manifests:
+        raise ValueError(f"{path}: no manifests")
+    return manifests
+
+
+def _load_records(path):
+    """``load_records``, refusing a file without records."""
+    header, records = load_records(path)
+    if not records:
+        raise ValueError(f"{path}: no records after the header")
+    return header, records
+
+
 def _load_scoring_inputs(args):
-    header, records = load_records(args.records)
+    header, records = _load_records(args.records)
     cfg = _config(args, header)
-    manifests = None if args.manifests is None else load_sample_groups(args.manifests)
+    manifests = None if args.manifests is None else _load_manifests(args.manifests)
     return manifests, records, cfg
 
 
@@ -166,7 +182,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    manifests = load_sample_groups(args.manifests)
+    manifests = _load_manifests(args.manifests)
     _emit(reporting.render_stats(stats(manifests), args.format), args.out)
     return 0
 
@@ -218,9 +234,7 @@ def _cmd_validate(args) -> int:
             if hash_mismatch(manifest):
                 mismatched.append(manifest.sample_id)
 
-        manifests = load_sample_groups(args.manifests, audit)
-        if not manifests:
-            raise ValueError(f"{args.manifests}: no manifests")
+        manifests = _load_manifests(args.manifests, audit)
         if mismatched:
             preview = ", ".join(repr(s) for s in mismatched[:5])
             raise ValueError(
@@ -229,9 +243,7 @@ def _cmd_validate(args) -> int:
             )
     records = None
     if args.records is not None:
-        _, records = load_records(args.records)
-        if not records:
-            raise ValueError(f"{args.records}: no records after the header")
+        _, records = _load_records(args.records)
     if manifests is not None and records is not None:
         join_samples(manifests, records)
     parts = []

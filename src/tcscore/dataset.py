@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .graphhash import graph_hash
-from .records import ManifestFields, SampleManifest, TaskCategory, jsonl_writer, read_manifest_lines
+from .records import SampleGroup, SampleManifest, TaskCategory, jsonl_writer, read_manifest_lines
 
 __all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "hash_mismatch", "stats"]
 
@@ -35,7 +35,8 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
     Lines are checked as ``load_manifests`` checks them. A kept line is
     written as read, stripped of surrounding whitespace, never re-encoded;
     ``out`` is replaced only after the last line passed, so it may be
-    ``path``. Returns the (kept, dropped) line counts.
+    ``path``, and an empty ``path`` is refused. Returns the (kept,
+    dropped) line counts.
     """
     kept = dropped = 0
 
@@ -50,6 +51,8 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
 
     with jsonl_writer(out) as write:
         write(kept_lines())
+        if not kept:
+            raise ValueError(f"{path}: no manifests")
     return kept, dropped
 
 
@@ -93,7 +96,7 @@ class StatsReport:
     opcount_histograms: Mapping[str, Mapping[int, int]]
 
 
-def stats(manifests: Iterable[ManifestFields]) -> StatsReport:
+def stats(manifests: Iterable[SampleGroup | SampleManifest]) -> StatsReport:
     """Category shares and log2-binned operator-count histograms."""
     manifests = list(manifests)
     if not manifests:

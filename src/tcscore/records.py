@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .graphhash import HashInput
 from .tolerance import ScalarKind
@@ -27,7 +27,6 @@ __all__ = [
     "CompileFailure",
     "Completed",
     "IngestError",
-    "ManifestFields",
     "RecordsHeader",
     "RunOutcome",
     "RunRecord",
@@ -105,20 +104,6 @@ class SampleGroup(NamedTuple):
     framework: str
     task_category: TaskCategory
     operator_count: int
-
-
-class ManifestFields(Protocol):
-    """What ``SampleManifest`` and ``SampleGroup`` share; readers of only
-    these fields take either."""
-
-    @property
-    def sample_id(self) -> str: ...
-    @property
-    def framework(self) -> str: ...
-    @property
-    def task_category(self) -> TaskCategory: ...
-    @property
-    def operator_count(self) -> int: ...
 
 
 @dataclass(frozen=True, slots=True)

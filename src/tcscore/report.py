@@ -17,8 +17,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Any, Iterable, Mapping, Sequence
 
 from .dataset import StatsReport
-from .records import ManifestFields, RunRecord
-from .scoring import DEFAULT_CONFIG, CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
+from .records import RunRecord, SampleGroup, SampleManifest
+from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
 
 __all__ = [
     "CURVE_COLUMNS",
@@ -131,9 +131,9 @@ def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
 
 
 def violin_data(
-    manifests: Sequence[ManifestFields],
+    manifests: Sequence[SampleGroup | SampleManifest],
     records: Sequence[RunRecord],
-    cfg: ScoreConfig | None = None,
+    cfg: ScoreConfig,
 ) -> dict[tuple[str, str], list[float]]:
     """Per-(framework, task_category) log2 speedups of correct samples.
 
@@ -142,7 +142,6 @@ def violin_data(
     samples contribute nothing, but every group present in the manifests
     appears, possibly with an empty list.
     """
-    cfg = cfg or DEFAULT_CONFIG
     pairs = join_samples(manifests, records)
     groups: dict[tuple[str, str], list[float]] = {}
     for manifest, _ in pairs:

@@ -18,10 +18,11 @@ from .records import (
     CompileFailure,
     Completed,
     IngestError,
-    ManifestFields,
     RecordsHeader,
     RunRecord,
     RuntimeCrash,
+    SampleGroup,
+    SampleManifest,
 )
 
 __all__ = [
@@ -90,7 +91,7 @@ class ScoreConfig:
         return cls(header.p, header.b, grid)
 
 
-# The settings used wherever a caller passes no ScoreConfig.
+# The paper's settings: the CLI's defaults, and the positive levels a header lacks.
 DEFAULT_CONFIG = ScoreConfig()
 
 
@@ -148,9 +149,7 @@ class ScoreComponents:
     errors_by_code: tuple[int, int, int] = (0, 0, 0)
 
 
-def classify(
-    record: RunRecord, t: float, cfg: ScoreConfig | None = None
-) -> ClassifiedSample:
+def classify(record: RunRecord, t: float, cfg: ScoreConfig) -> ClassifiedSample:
     """Classify one record at level t (t must be on the config grid).
 
     Numeric correctness is decided on the t <= 0 axis; positive levels
@@ -159,7 +158,7 @@ def classify(
     penalty applied downstream.
     """
     t = float(t)
-    if t not in (cfg or DEFAULT_CONFIG).grid:
+    if t not in cfg.grid:
         raise ValueError(f"level {t} is not on the configured grid")
     outcome, sample_id = record.outcome, record.sample_id
     if isinstance(outcome, CompileFailure):
@@ -250,7 +249,7 @@ def gamma(errors_by_code: Sequence[int], t: float, cfg: ScoreConfig) -> float:
     errors = sum(errors_by_code)
     if not errors:
         return 1.0
-    unforgiven = sum(count for code, count in zip(ErrorCode, errors_by_code) if t < code)
+    unforgiven = sum(n for code, n in zip(ErrorCode, errors_by_code) if not code.tolerated_at(t))
     return cfg.failure_penalty ** (unforgiven / errors)
 
 
@@ -308,13 +307,13 @@ class ScoreCurve:
 
 
 def join_samples(
-    manifests: Sequence[ManifestFields], records: Sequence[RunRecord]
-) -> list[tuple[ManifestFields, RunRecord]]:
+    manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord]
+) -> list[tuple[SampleGroup | SampleManifest, RunRecord]]:
     """Pair each record with its manifest; unmatched entries are errors."""
     by_id = {m.sample_id: m for m in manifests}
     if len(by_id) != len(manifests):
         raise IngestError("duplicate sample_id among manifests")
-    pairs: list[tuple[ManifestFields, RunRecord]] = []
+    pairs: list[tuple[SampleGroup | SampleManifest, RunRecord]] = []
     matched: set[str] = set()
     for record in records:
         manifest = by_id.get(record.sample_id)
@@ -341,11 +340,10 @@ def score_level(
 
 
 def score_curve(
-    manifests: Sequence[ManifestFields],
+    manifests: Sequence[SampleGroup | SampleManifest],
     records: Sequence[RunRecord],
-    cfg: ScoreConfig | None = None,
+    cfg: ScoreConfig,
 ) -> ScoreCurve:
     """Classify and score the dataset at every grid level."""
-    cfg = cfg or DEFAULT_CONFIG
     join_samples(manifests, records)
     return ScoreCurve(tuple(score_level(records, t, cfg) for t in cfg.grid))

@@ -12,7 +12,7 @@ turns output tensors into passing levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -33,14 +33,13 @@ from .records import (
     _expect_real,
     _expect_str,
 )
-from .scoring import DEFAULT_CONFIG, ScoreConfig
+from .scoring import ScoreConfig
 from .tolerance import ScalarKind, atol, rtol
 
 __all__ = [
     "ErrorRates",
-    "OpCountLaw",
+    "Log2NormalLaw",
     "SimSpec",
-    "SpeedupLaw",
     "min_passing_tolerance",
     "records_header",
     "simulate",
@@ -88,23 +87,11 @@ DEFAULT_NOISE: Mapping[ScalarKind, float] = {
 
 
 @dataclass(frozen=True)
-class SpeedupLaw:
-    """Log2-normal law for per-sample speedups."""
+class Log2NormalLaw:
+    """Law of a positive per-sample quantity whose log2 is normal."""
 
-    log2_mean: float = 0.35
-    log2_stddev: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.log2_stddev < 0:
-            raise ValueError("log2_stddev must be >= 0")
-
-
-@dataclass(frozen=True)
-class OpCountLaw:
-    """Log2-normal law for per-sample operator counts."""
-
-    log2_mean: float = 9.0
-    log2_stddev: float = 1.2
+    log2_mean: float
+    log2_stddev: float
 
     def __post_init__(self) -> None:
         if self.log2_stddev < 0:
@@ -137,12 +124,12 @@ class SimSpec:
     category_mix: Mapping[TaskCategory, float] = field(
         default_factory=lambda: dict(DEFAULT_CATEGORY_MIX)
     )
-    speedup_law: SpeedupLaw = SpeedupLaw()
+    speedup_law: Log2NormalLaw = Log2NormalLaw(0.35, 0.5)
     error_rates: ErrorRates = ErrorRates()
     noise_law: Mapping[ScalarKind, float] = field(
         default_factory=lambda: dict(DEFAULT_NOISE)
     )
-    opcount_law: OpCountLaw = OpCountLaw()
+    opcount_law: Log2NormalLaw = Log2NormalLaw(9.0, 1.2)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
@@ -162,7 +149,7 @@ class SimSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "SimSpec":
-        """Build a spec from parsed JSON; unnamed fields keep defaults."""
+        """Build a spec from parsed JSON; unnamed fields and law keys keep defaults."""
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
         kwargs: dict[str, Any] = {}
@@ -178,20 +165,18 @@ class SimSpec:
             if key in data:
                 weights = _expect_object(data, key)
                 kwargs[key] = {parse_name(name): _expect_real(weights, name) for name in weights}
-        for key, law in (
-            ("speedup_law", SpeedupLaw),
-            ("error_rates", ErrorRates),
-            ("opcount_law", OpCountLaw),
-        ):
+        for key in ("speedup_law", "error_rates", "opcount_law"):
             if key in data:
                 params = _expect_object(data, key)
-                known = [f.name for f in fields(law)]
+                default = getattr(cls, key)
+                known = [f.name for f in fields(default)]
                 unknown = sorted(set(params) - set(known))
                 if unknown:
                     raise ValueError(
                         f"{key}: unknown keys {', '.join(unknown)} (expected: {', '.join(known)})"
                     )
-                kwargs[key] = law(**{name: _expect_real(params, name) for name in params})
+                values = {name: _expect_real(params, name) for name in params}
+                kwargs[key] = replace(default, **values)
         return cls(**kwargs)
 
 
@@ -204,9 +189,7 @@ def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:
     )
 
 
-def simulate(
-    spec: SimSpec, cfg: ScoreConfig | None = None
-) -> tuple[list[SampleManifest], list[RunRecord]]:
+def simulate(spec: SimSpec, cfg: ScoreConfig) -> tuple[list[SampleManifest], list[RunRecord]]:
     """Generate a (manifests, records) pair for a synthetic workload.
 
     Clean samples carry comparisons whose min_passing_t reflects the
@@ -219,7 +202,7 @@ def simulate(
 
 
 def simulate_blocks(
-    spec: SimSpec, cfg: ScoreConfig | None = None
+    spec: SimSpec, cfg: ScoreConfig
 ) -> Iterator[tuple[list[SampleManifest], list[RunRecord]]]:
     """Yield ``simulate``'s output one block of ``BLOCK`` samples at a time.
 
@@ -227,7 +210,6 @@ def simulate_blocks(
     ``_simulate_block`` for the order of the draws within a block. A law
     whose draws leave float range raises when its block is drawn.
     """
-    cfg = cfg or DEFAULT_CONFIG
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     numeric_grid = tuple(t for t in cfg.grid if t <= 0)
     for start in range(0, spec.n_samples, BLOCK):
@@ -320,9 +302,8 @@ def _simulate_block(
         sample_id = f"s{i:05d}"
         sample_kinds = output_kinds[first_output : first_output + count]
         operator_count = max(1, int(ops))
-        digest_inputs = HashInput.from_source(
-            *_synthesize_graph(sample_id, operator_count, op_names[first_op : first_op + size])
-        )
+        source, topology = _synthesize_graph(sample_id, op_names[first_op : first_op + size])
+        digest_inputs = HashInput.from_source(source, topology)
         manifests.append(
             SampleManifest(
                 sample_id=sample_id,
@@ -413,8 +394,10 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
-def _synthesize_graph(sample_id: str, opcount: int, ops: list[str]) -> tuple[str, Topology]:
+def _synthesize_graph(sample_id: str, ops: list[str]) -> tuple[str, Topology]:
+    """A graph chaining ``ops``: its source, already normalized, and its topology."""
     nodes = []
+    source = [f"def graph_{sample_id}(x0):"]
     for k, op in enumerate(ops):
         if op in _BINARY_OPS and k >= 2:
             inputs: tuple[int, ...] = (k - 1, k - 2)
@@ -423,10 +406,7 @@ def _synthesize_graph(sample_id: str, opcount: int, ops: list[str]) -> tuple[str
         else:
             inputs = ()
         nodes.append((op, inputs))
-    lines = [f"# synthetic graph {sample_id}", f"def graph_{sample_id}(x0):"]
-    for k, (op, inputs) in enumerate(nodes):
         args = ", ".join(f"x{j}" for j in inputs) or "x0"
-        lines.append(f"    x{k + 1} = {op}({args})  # node {k}")
-    lines.append(f"    return x{len(nodes)}")
-    lines.append(f"# operators: {opcount}")
-    return "\n".join(lines), tuple(nodes)
+        source.append(f"x{k + 1} = {op}({args})")
+    source.append(f"return x{len(nodes)}")
+    return " ".join(source), tuple(nodes)

@@ -33,6 +33,7 @@ from tcscore.records import (
     write_manifests,
     write_records,
 )
+from tcscore.scoring import DEFAULT_CONFIG
 from tcscore.simulator import SimSpec, simulate
 from tcscore.tolerance import ScalarKind
 
@@ -139,7 +140,7 @@ def test_load_manifests_malformed_line_names_line(tmp_path):
 
 def test_sample_groups_retain_under_a_quarter_of_manifest_memory(tmp_path):
     path = tmp_path / "m.jsonl"
-    write_manifests(path, simulate(SimSpec(n_samples=2000))[0])
+    write_manifests(path, simulate(SimSpec(n_samples=2000), DEFAULT_CONFIG)[0])
 
     def retained(load) -> int:
         gc.collect()

@@ -226,7 +226,7 @@ def test_cli_score_empty_records_fails(tmp_path, capsys):
     write_records(r_path, HEADER, [])
     code = main(["score", "--records", str(r_path), "--t", "0"])
     assert code == 1
-    assert "no samples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {r_path}: no records after the header\n"
     assert main(["validate", "--records", str(r_path)]) == 1
     assert capsys.readouterr().err == f"error: {r_path}: no records after the header\n"
 
@@ -235,9 +235,37 @@ def test_cli_validate_refuses_empty_manifests(tmp_path, capsys):
     m_path = tmp_path / "m.jsonl"
     m_path.write_text("")
     assert main(["stats", "--manifests", str(m_path)]) == 1
-    assert capsys.readouterr().err == "error: no manifests\n"
+    assert capsys.readouterr().err == f"error: {m_path}: no manifests\n"
     assert main(["validate", "--manifests", str(m_path)]) == 1
     assert capsys.readouterr().err == f"error: {m_path}: no manifests\n"
+
+
+@pytest.mark.parametrize(
+    "command, empty",
+    [(c, "records") for c in ("score", "curve", "report", "violin", "validate")]
+    + [(c, "manifests") for c in ("score", "curve", "report", "violin", "validate", "stats", "dedup")],
+)
+def test_cli_refuses_empty_inputs_naming_the_file(tmp_path, capsys, command, empty):
+    m_path, r_path = write_dataset(tmp_path, *small_dataset())
+    if empty == "manifests":
+        Path(m_path).write_text("")
+        message = f"error: {m_path}: no manifests\n"
+    else:
+        write_records(r_path, HEADER, [])
+        message = f"error: {r_path}: no records after the header\n"
+    out = tmp_path / "out.jsonl"
+    out.write_text("old\n")
+    if command == "stats":
+        argv = ["--manifests", m_path]
+    elif command == "dedup":
+        argv = ["--manifests", m_path, "--out", str(out)]
+    else:
+        argv = ["--manifests", m_path, "--records", r_path]
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr() == ("", message)
+    # dedup refuses before replacing --out, and leaves no temporary behind.
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "out.jsonl", "r.jsonl"]
 
 
 def test_cli_score_off_grid_level_fails(tmp_path, capsys):

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import os
+import re
 import stat
 import statistics
 import tempfile
@@ -22,8 +23,8 @@ from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
     BLOCK,
     ErrorRates,
+    Log2NormalLaw,
     SimSpec,
-    SpeedupLaw,
     records_header,
     simulate,
 )
@@ -44,7 +45,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ErrorRates(-0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        SpeedupLaw(log2_stddev=-1.0)
+        Log2NormalLaw(log2_mean=0.0, log2_stddev=-1.0)
     with pytest.raises(ValueError):
         SimSpec(noise_law={})
 
@@ -66,6 +67,31 @@ def test_spec_from_dict_roundtrip_defaults():
     assert spec.noise_law == {ScalarKind.FLOAT32: 0.0}
     # unnamed fields keep defaults
     assert SimSpec.from_dict({}).n_samples == SimSpec().n_samples
+
+
+def test_spec_from_dict_partial_laws_keep_the_other_default():
+    spec = SimSpec.from_dict({"opcount_law": {"log2_mean": 5.0}})
+    assert spec.opcount_law == Log2NormalLaw(log2_mean=5.0, log2_stddev=1.2)
+    assert spec.speedup_law == SimSpec().speedup_law
+    spec = SimSpec.from_dict({"speedup_law": {"log2_stddev": 0.1}})
+    assert spec.speedup_law == Log2NormalLaw(log2_mean=0.35, log2_stddev=0.1)
+    assert spec.opcount_law == SimSpec().opcount_law
+    spec = SimSpec.from_dict({"error_rates": {"runtime_crash": 0.5}})
+    assert spec.error_rates == ErrorRates(runtime_crash=0.5)
+
+
+@pytest.mark.parametrize(
+    "key, expected",
+    [
+        ("speedup_law", "log2_mean, log2_stddev"),
+        ("opcount_law", "log2_mean, log2_stddev"),
+        ("error_rates", "accuracy_violation, runtime_crash, compile_failure"),
+    ],
+)
+def test_spec_from_dict_names_unknown_law_keys(key, expected):
+    message = f"{key}: unknown keys mean, z (expected: {expected})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimSpec.from_dict({key: {"z": 1.0, "mean": 0.0}})
 
 
 def test_clean_noiseless_runs_pass_at_strictest_level():
@@ -142,7 +168,7 @@ def test_injected_noise_spreads_min_passing_levels():
 
 
 def test_speedup_law_moments_match():
-    law = SpeedupLaw(log2_mean=0.75, log2_stddev=0.5)
+    law = Log2NormalLaw(log2_mean=0.75, log2_stddev=0.5)
     spec = SimSpec(seed=97, n_samples=10_000, error_rates=NO_ERRORS, speedup_law=law)
     _, records = simulate(spec, CFG)
     log2_speedups = [
