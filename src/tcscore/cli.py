@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import report as reporting
 from .dataset import dedup_file, hash_mismatch, stats
-from .records import IngestError, jsonl_writer, load_records, load_sample_groups
+from .records import IngestError, jsonl_writer, load_record_ids, load_records, load_sample_groups
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
 
 __all__ = ["build_parser", "main", "run"]
@@ -149,9 +149,9 @@ def _load_manifests(path, inspect=None):
     return manifests
 
 
-def _load_records(path):
-    """``load_records``, refusing a file without records."""
-    header, records = load_records(path)
+def _load_records(path, load=load_records):
+    """``load`` (``load_records`` or ``load_record_ids``), refusing a file without records."""
+    header, records = load(path)
     if not records:
         raise ValueError(f"{path}: no records after the header")
     return header, records
@@ -243,7 +243,7 @@ def _cmd_validate(args) -> int:
             )
     records = None
     if args.records is not None:
-        _, records = _load_records(args.records)
+        _, records = _load_records(args.records, load_record_ids)
     if manifests is not None and records is not None:
         join_samples(manifests, records)
     parts = []

@@ -24,7 +24,7 @@ def dedup(
     """
     kept: list[SampleManifest] = []
     dropped: list[SampleManifest] = []
-    for manifest, first in _first_by_hash((m, m) for m in manifests):
+    for manifest, first in _first_by_hash((m, m.graph_hash) for m in manifests):
         (kept if first else dropped).append(manifest)
     return kept, dropped
 
@@ -32,7 +32,8 @@ def dedup(
 def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
     """Stream manifests file ``path`` to ``out``, keeping the first line of each graph hash.
 
-    Lines are checked as ``load_manifests`` checks them. A kept line is
+    Every line is checked in full, as ``load_manifests`` checks it, but
+    only its text and graph hash are kept. A kept line is
     written as read, stripped of surrounding whitespace, never re-encoded;
     ``out`` is replaced only after the last line passed, so it may be
     ``path``, and an empty ``path`` is refused. Returns the (kept,
@@ -56,15 +57,15 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
     return kept, dropped
 
 
-def _first_by_hash(pairs: Iterable[tuple[_T, SampleManifest]]) -> Iterator[tuple[_T, bool]]:
-    """Pair each item with whether its manifest is the first with its graph hash.
+def _first_by_hash(pairs: Iterable[tuple[_T, str]]) -> Iterator[tuple[_T, bool]]:
+    """Pair each item with whether no earlier item had its graph hash.
 
     Hashes compare lowercased: a manifest may spell its hex digest in
     either case, and ``graph_hash`` emits lowercase.
     """
     seen: set[str] = set()
-    for item, manifest in pairs:
-        digest = manifest.graph_hash.lower()
+    for item, stored in pairs:
+        digest = stored.lower()
         first = digest not in seen
         if first:
             seen.add(digest)

@@ -39,11 +39,10 @@ def normalize_source(text: str) -> str:
 _BAD_TOPOLOGY = "topology must be a nonempty list of [op string, list of integer indices]"
 
 
-def _freeze_topology(topology: Sequence) -> Topology:
+def _check_topology(topology: Sequence) -> None:
     # Exact types: JSON booleans are ints to isinstance.
     if type(topology) not in (list, tuple) or not topology:
         raise ValueError(_BAD_TOPOLOGY)
-    frozen = []
     for entry in topology:
         if type(entry) not in (list, tuple) or len(entry) != 2:
             raise ValueError(_BAD_TOPOLOGY)
@@ -53,8 +52,11 @@ def _freeze_topology(topology: Sequence) -> Topology:
         for i in inputs:
             if type(i) is not int:
                 raise ValueError(_BAD_TOPOLOGY)
-        frozen.append((op, tuple(inputs)))
-    return tuple(frozen)
+
+
+def _freeze_topology(topology: Sequence) -> Topology:
+    """A listing that passed ``_check_topology``, as nested tuples."""
+    return tuple([(op, tuple(inputs)) for op, inputs in topology])
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +74,7 @@ class HashInput:
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
         """Normalize raw source text; check and freeze the topology listing."""
+        _check_topology(topology)
         return cls(normalize_source(source), _freeze_topology(topology))
 
 

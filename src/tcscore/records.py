@@ -18,15 +18,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .graphhash import HashInput
+from .graphhash import HashInput, _check_topology, _freeze_topology, normalize_source
 from .tolerance import ScalarKind
 
 __all__ = [
     "CompileFailure",
     "Completed",
     "IngestError",
+    "RecordId",
     "RecordsHeader",
     "RunOutcome",
     "RunRecord",
@@ -37,6 +38,7 @@ __all__ = [
     "TensorComparison",
     "jsonl_writer",
     "load_manifests",
+    "load_record_ids",
     "load_records",
     "load_sample_groups",
     "read_manifest_lines",
@@ -85,16 +87,21 @@ class SampleManifest:
     source_digest_inputs: HashInput | None = None
 
     def __post_init__(self) -> None:
-        if not self.sample_id:
-            raise ValueError("sample_id must be nonempty")
-        if self.operator_count < 1:
-            raise ValueError(f"operator_count must be >= 1, got {self.operator_count}")
-        if self.parameter_count is not None and self.parameter_count < 0:
-            raise ValueError(
-                f"parameter_count must be >= 0, got {self.parameter_count}"
-            )
-        if not _HEX_DIGEST.match(self.graph_hash):
-            raise ValueError("graph_hash must be a nonempty hex digest")
+        _manifest_rules(self.sample_id, self.operator_count, self.parameter_count, self.graph_hash)
+
+
+# Each model type's value rules, called by its ``__post_init__`` and by ingest's checker.
+def _manifest_rules(
+    sample_id: str, operator_count: int, parameter_count: int | None, graph_hash: str
+) -> None:
+    if not sample_id:
+        raise ValueError("sample_id must be nonempty")
+    if operator_count < 1:
+        raise ValueError(f"operator_count must be >= 1, got {operator_count}")
+    if parameter_count is not None and parameter_count < 0:
+        raise ValueError(f"parameter_count must be >= 0, got {parameter_count}")
+    if not _HEX_DIGEST.match(graph_hash):
+        raise ValueError("graph_hash must be a nonempty hex digest")
 
 
 class SampleGroup(NamedTuple):
@@ -104,6 +111,12 @@ class SampleGroup(NamedTuple):
     framework: str
     task_category: TaskCategory
     operator_count: int
+
+
+class RecordId(NamedTuple):
+    """The one record field ``join_samples`` reads."""
+
+    sample_id: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +132,12 @@ class TensorComparison:
     min_passing_t: float | None
 
     def __post_init__(self) -> None:
-        if self.tensor_index < 0:
-            raise ValueError(f"tensor_index must be >= 0, got {self.tensor_index}")
+        _comparison_rules(self.tensor_index)
+
+
+def _comparison_rules(tensor_index: int) -> None:
+    if tensor_index < 0:
+        raise ValueError(f"tensor_index must be >= 0, got {tensor_index}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,8 +147,12 @@ class Completed:
     comparisons: tuple[TensorComparison, ...]
 
     def __post_init__(self) -> None:
-        if not self.comparisons:
-            raise ValueError("completed outcome requires at least one comparison")
+        _completed_rules(self.comparisons)
+
+
+def _completed_rules(comparisons: Sequence[Any]) -> None:
+    if not comparisons:
+        raise ValueError("completed outcome requires at least one comparison")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +166,7 @@ class CompileFailure:
 
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
+_OUTCOMES = {"runtime_crash": RuntimeCrash, "compile_failure": CompileFailure}
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,30 +181,37 @@ class RunRecord:
     timed_iters: int = 1
 
     def __post_init__(self) -> None:
-        if not self.sample_id:
-            raise ValueError("sample_id must be nonempty")
-        if not self.eager_time_s > 0:
-            raise ValueError(f"eager_time_s must be positive, got {self.eager_time_s}")
-        completed = isinstance(self.outcome, Completed)
-        if completed and self.compiled_time_s is None:
-            raise ValueError("completed record requires compiled_time_s")
-        if not completed and self.compiled_time_s is not None:
-            raise ValueError("compiled_time_s is only valid for completed records")
-        if self.compiled_time_s is not None:
-            if not self.compiled_time_s > 0:
-                raise ValueError(
-                    f"compiled_time_s must be positive, got {self.compiled_time_s}"
-                )
-            speedup = self.eager_time_s / self.compiled_time_s
-            if not 0 < speedup <= sys.float_info.max:
-                raise ValueError(
-                    "speedup eager_time_s / compiled_time_s must be finite and"
-                    f" positive, got {speedup}"
-                )
-        if self.warmup_iters < 0:
-            raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
-        if self.timed_iters < 1:
-            raise ValueError(f"timed_iters must be >= 1, got {self.timed_iters}")
+        _record_rules(
+            self.sample_id, self.eager_time_s, isinstance(self.outcome, Completed),
+            self.compiled_time_s, self.warmup_iters, self.timed_iters,
+        )
+
+
+def _record_rules(
+    sample_id: str, eager_time_s: float, completed: bool,
+    compiled_time_s: float | None, warmup_iters: int, timed_iters: int,
+) -> None:
+    if not sample_id:
+        raise ValueError("sample_id must be nonempty")
+    if not eager_time_s > 0:
+        raise ValueError(f"eager_time_s must be positive, got {eager_time_s}")
+    if completed and compiled_time_s is None:
+        raise ValueError("completed record requires compiled_time_s")
+    if not completed and compiled_time_s is not None:
+        raise ValueError("compiled_time_s is only valid for completed records")
+    if compiled_time_s is not None:
+        if not compiled_time_s > 0:
+            raise ValueError(f"compiled_time_s must be positive, got {compiled_time_s}")
+        speedup = eager_time_s / compiled_time_s
+        if not 0 < speedup <= sys.float_info.max:
+            raise ValueError(
+                "speedup eager_time_s / compiled_time_s must be finite and"
+                f" positive, got {speedup}"
+            )
+    if warmup_iters < 0:
+        raise ValueError(f"warmup_iters must be >= 0, got {warmup_iters}")
+    if timed_iters < 1:
+        raise ValueError(f"timed_iters must be >= 1, got {timed_iters}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,27 +247,46 @@ def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
 
 
 def manifest_from_dict(data: Mapping[str, Any]) -> SampleManifest:
+    return _build_manifest(_check_manifest(data))
+
+
+def _check_manifest(data: Mapping[str, Any]) -> tuple:
+    """Run every check of a manifest line, in a fixed order; return the checked values.
+
+    They are ``SampleGroup``'s four fields, graph_hash, the dtype names,
+    parameter_count and the ``source_digest_inputs`` object or None.
+    """
     dtypes = data.get("dtypes", [])
     if not isinstance(dtypes, list) or not all(isinstance(v, str) for v in dtypes):
         raise ValueError("dtypes must be a list of kind names")
     parameter_count = data.get("parameter_count")
     if parameter_count is not None:
-        parameter_count = _expect_int({"parameter_count": parameter_count}, "parameter_count")
+        parameter_count = _expect_int(data, "parameter_count")
     digest_inputs = None
     if data.get("source_digest_inputs") is not None:
-        raw_digest = _expect_object(data, "source_digest_inputs")
-        digest_inputs = HashInput.from_source(
-            _expect_str(raw_digest, "normalized_source"), raw_digest.get("topology")
-        )
+        digest_inputs = _expect_object(data, "source_digest_inputs")
+        _expect_str(digest_inputs, "normalized_source")
+        _check_topology(digest_inputs.get("topology"))
+    values = (
+        _expect_str(data, "sample_id"),
+        _expect_str(data, "framework"),
+        TaskCategory.from_name(_expect_str(data, "task_category")),
+        _expect_int(data, "operator_count"),
+        _expect_str(data, "graph_hash"),
+        dtypes, parameter_count, digest_inputs,
+    )
+    _manifest_rules(values[0], values[3], parameter_count, values[4])
+    return values
+
+
+def _build_manifest(values: tuple) -> SampleManifest:
+    sample_id, framework, category, operator_count, graph_hash, dtypes, parameters, digest = values
+    if digest is not None:
+        source, topology = digest["normalized_source"], digest["topology"]
+        digest = HashInput(normalize_source(source), _freeze_topology(topology))
+    dtypes = frozenset(map(ScalarKind.from_name, dtypes))
     return SampleManifest(
-        sample_id=_expect_str(data, "sample_id"),
-        framework=_expect_str(data, "framework"),
-        task_category=TaskCategory.from_name(_expect_str(data, "task_category")),
-        operator_count=_expect_int(data, "operator_count"),
-        graph_hash=_expect_str(data, "graph_hash"),
-        dtypes=frozenset(ScalarKind.from_name(v) for v in dtypes),
-        parameter_count=parameter_count,
-        source_digest_inputs=digest_inputs,
+        sample_id, framework, category, operator_count, graph_hash, dtypes, parameters, digest
     )
 
 
@@ -276,50 +324,65 @@ def record_from_dict(
     data: Mapping[str, Any], grid: frozenset[float] | None = None
 ) -> RunRecord:
     """Parse one record; with ``grid`` given, min_passing_t must lie on it."""
+    return _build_record(_check_record(data, grid))
+
+
+def _check_record(data: Mapping[str, Any], grid: frozenset[float] | None) -> tuple:
+    """Run every check of a record line, in a fixed order; return the checked values.
+
+    They are sample_id, eager_time_s, the outcome kind, its ``(tensor_index,
+    kind name, min_passing_t)`` comparisons or its message,
+    compiled_time_s, warmup_iters and timed_iters.
+    """
     raw_outcome = _expect_object(data, "outcome")
     outcome_kind = _expect_str(raw_outcome, "kind")
-    outcome: RunOutcome
     if outcome_kind == "completed":
         raw_comparisons = raw_outcome.get("comparisons")
         if not isinstance(raw_comparisons, list):
             raise ValueError("completed outcome requires a comparisons list")
-        outcome = Completed(
-            tuple(_comparison_from_dict(c, grid) for c in raw_comparisons)
-        )
-    elif outcome_kind == "runtime_crash":
-        outcome = RuntimeCrash(_expect_str(raw_outcome, "message", ""))
-    elif outcome_kind == "compile_failure":
-        outcome = CompileFailure(_expect_str(raw_outcome, "message", ""))
+        detail: Any = [_check_comparison(c, grid) for c in raw_comparisons]
+        _completed_rules(detail)
+    elif outcome_kind in _OUTCOMES:
+        detail = _expect_str(raw_outcome, "message", "")
     else:
         raise ValueError(f"unknown outcome kind {outcome_kind!r}")
     compiled = data.get("compiled_time_s")
     if compiled is not None:
-        compiled = _expect_real({"compiled_time_s": compiled}, "compiled_time_s")
-    return RunRecord(
-        sample_id=_expect_str(data, "sample_id"),
-        eager_time_s=_expect_real(data, "eager_time_s"),
-        outcome=outcome,
-        compiled_time_s=compiled,
-        warmup_iters=_expect_int(data, "warmup_iters"),
-        timed_iters=_expect_int(data, "timed_iters"),
+        compiled = _expect_real(data, "compiled_time_s")
+    values = (
+        _expect_str(data, "sample_id"),
+        _expect_real(data, "eager_time_s"),
+        outcome_kind, detail, compiled,
+        _expect_int(data, "warmup_iters"),
+        _expect_int(data, "timed_iters"),
     )
+    _record_rules(values[0], values[1], outcome_kind == "completed", *values[4:])
+    return values
 
 
-def _comparison_from_dict(
-    data: Any, grid: frozenset[float] | None
-) -> TensorComparison:
+def _check_comparison(data: Any, grid: frozenset[float] | None) -> tuple:
     if type(data) is not dict:
         raise ValueError("comparison entries must be objects")
     level = data.get("min_passing_t")
     if level is not None:
-        level = _expect_real({"min_passing_t": level}, "min_passing_t")
+        level = _expect_real(data, "min_passing_t")
         if grid is not None and level not in grid:
             raise ValueError(f"min_passing_t {level} is not on the declared grid")
-    return TensorComparison(
-        tensor_index=_expect_int(data, "tensor_index"),
-        kind=ScalarKind.from_name(_expect_str(data, "kind")),
-        min_passing_t=level,
-    )
+    tensor_index = _expect_int(data, "tensor_index")
+    kind = _expect_str(data, "kind")
+    _comparison_rules(tensor_index)
+    return tensor_index, kind, level
+
+
+def _build_record(values: tuple) -> RunRecord:
+    sample_id, eager_time_s, outcome_kind, detail, compiled, warmup, timed = values
+    if outcome_kind == "completed":
+        outcome = Completed(
+            tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in detail])
+        )
+    else:
+        outcome = _OUTCOMES[outcome_kind](detail)
+    return RunRecord(sample_id, eager_time_s, outcome, compiled, warmup, timed)
 
 
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
@@ -349,19 +412,18 @@ def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
     return RecordsHeader(grid, p, b, _expect_str(data, "producer"))
 
 
-def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, SampleManifest]]:
-    """Yield each line of a manifests file, stripped, with its checked manifest.
+def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield each line of a manifests file, stripped, with its graph hash.
 
-    Lines are read one at a time and checked as ``load_manifests`` checks
-    them, with the same errors, raised when the bad line is reached.
+    Every line is checked in full, as ``load_manifests`` checks it, with
+    the same errors, raised when the bad line is reached.
     """
-    path = Path(path)
-    return _ingest(path, _read_json_lines(path), manifest_from_dict)
+    return _ingest_manifests(Path(path), lambda values: values[4])
 
 
 def load_manifests(path: str | Path) -> list[SampleManifest]:
     """Load a manifests file: one JSON manifest per line, unique ids."""
-    return [manifest for _, manifest in read_manifest_lines(path)]
+    return [manifest for _, manifest in _ingest_manifests(Path(path), _build_manifest)]
 
 
 def load_sample_groups(
@@ -369,25 +431,18 @@ def load_sample_groups(
 ) -> list[SampleGroup]:
     """Load a manifests file keeping only each line's ``SampleGroup``.
 
-    Every line is still parsed and checked as a full ``SampleManifest``,
-    so this accepts exactly the files ``load_manifests`` accepts, with the
-    same errors. ``inspect``, when given, sees each checked manifest, in
+    Every line is checked in full, so this accepts exactly the files
+    ``load_manifests`` accepts, with the same errors; only the group is
+    built. ``inspect``, when given, sees each line's full manifest, in
     file order, before it is dropped.
     """
 
-    def parse(obj: dict[str, Any]) -> SampleGroup:
-        manifest = manifest_from_dict(obj)
+    def build(values: tuple) -> SampleGroup:
         if inspect is not None:
-            inspect(manifest)
-        return SampleGroup(
-            manifest.sample_id,
-            manifest.framework,
-            manifest.task_category,
-            manifest.operator_count,
-        )
+            inspect(_build_manifest(values))
+        return SampleGroup(*values[:4])
 
-    path = Path(path)
-    return [group for _, group in _ingest(path, _read_json_lines(path), parse)]
+    return [group for _, group in _ingest_manifests(Path(path), build)]
 
 
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
@@ -397,7 +452,18 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     values must lie on it. Returns the parsed header together with the
     records in file order.
     """
-    path = Path(path)
+    return _load_records(Path(path), _build_record)
+
+
+def load_record_ids(path: str | Path) -> tuple[RecordsHeader, list[RecordId]]:
+    """``load_records``, checking every line in full but keeping only each ``RecordId``."""
+    return _load_records(Path(path), lambda values: RecordId(values[0]))
+
+
+_Item = TypeVar("_Item")
+
+
+def _load_records(path: Path, build: Callable[[tuple], _Item]) -> tuple[RecordsHeader, list[_Item]]:
     lines = _read_json_lines(path)
     for lineno, _, obj in lines:
         try:
@@ -411,7 +477,7 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
         # `violin` and the default `score` read level 0.
         raise IngestError(f"{path}:{lineno}: header grid must contain level 0")
     grid = frozenset(header.grid)
-    records = _ingest(path, lines, lambda obj: record_from_dict(obj, grid=grid))
+    records = _ingest(path, lines, lambda obj: _check_record(obj, grid), build)
     return header, [record for _, record in records]
 
 
@@ -469,28 +535,35 @@ def jsonl_writer(
 _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-_Item = TypeVar("_Item", SampleManifest, SampleGroup, RunRecord)
+def _ingest_manifests(path: Path, build: Callable[[tuple], _Item]) -> Iterator[tuple[str, _Item]]:
+    return _ingest(path, _read_json_lines(path), _check_manifest, build)
 
 
 def _ingest(
     path: Path,
     lines: Iterator[tuple[int, str, dict[str, Any]]],
-    parse: Callable[[dict[str, Any]], _Item],
+    check: Callable[[dict[str, Any]], tuple],
+    build: Callable[[tuple], _Item],
 ) -> Iterator[tuple[str, _Item]]:
-    """Parse every remaining line, yielding its text and item; sample ids must be unique."""
+    """Check every remaining line, yielding its text and what ``build`` keeps of it.
+
+    ``check`` runs all of a line's checks and returns its checked values,
+    the sample id first; ``build`` runs only on values that passed, so it
+    cannot fail. Sample ids must be unique.
+    """
     first_seen: dict[str, int] = {}
     for lineno, text, obj in lines:
         try:
-            item = parse(obj)
+            values = check(obj)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        duplicate = first_seen.setdefault(item.sample_id, lineno)
+        duplicate = first_seen.setdefault(values[0], lineno)
         if duplicate != lineno:
             raise IngestError(
-                f"{path}:{lineno}: duplicate sample_id {item.sample_id!r}"
+                f"{path}:{lineno}: duplicate sample_id {values[0]!r}"
                 f" (first seen at line {duplicate})"
             )
-        yield text, item
+        yield text, build(values)
 
 
 def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:

@@ -3,8 +3,10 @@
 The first test takes a small simulated dataset, damages one line (a key
 dropped, a value swapped for an odd one, or the line replaced by non-JSON
 text) and runs the file-reading subcommands through ``main``. Every run
-must exit 0 or 1, failures must print an ``error:`` line, and
-``validate`` must reject whatever ``report`` rejects.
+must exit 0 or 1, and every command that fails must print the same
+``error:`` line as ``validate``: they keep different parts of each line,
+but check every line alike. Only ``validate`` checks graph hashes, so
+it alone may fail on a hash mismatch.
 
 The second draws ``simulate --spec`` laws from wide finite floats and
 ``--p``/``--b``/``--t``/``--grid`` values for ``score`` and ``report``.
@@ -22,10 +24,13 @@ passing levels null, on the grid or off it, and times out to the edges
 of float range. Both also require ``dedup`` to write input lines, in
 input order and as they were read, accounting for every input line.
 
-The fifth holds the two manifest loaders to one contract: on every
-corrupted manifests file, ``load_sample_groups`` fails with the same
-error as ``load_manifests``, or both load and the groups are the
-manifests' projection.
+The fifth holds the loaders that keep part of each line to the full
+loaders: on every corrupted manifests file, ``load_sample_groups`` and
+``dedup_file`` fail with the same error as ``load_manifests``, or all
+load, the groups are the manifests' projection and ``dedup_file`` keeps
+the lines of the manifests ``dedup`` keeps. On every corrupted records
+file, ``load_record_ids`` fails with the same error as ``load_records``,
+or both load the same sample ids.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.cli import main
+from tcscore.dataset import dedup, dedup_file
 from tcscore.records import (
     IngestError,
     SampleGroup,
     TaskCategory,
     load_manifests,
+    load_record_ids,
+    load_records,
     load_sample_groups,
 )
 
@@ -130,14 +138,12 @@ def test_corrupted_line_fails_cleanly(dataset, data):
                 "dedup": ["dedup", "--manifests", m_path, "--out", str(work / "kept.jsonl")],
             }.items()
         }
+    validate_code, validate_err = results["validate"]
     for command, (code, err) in results.items():
         assert code in (0, 1), command
         if code == 1:
-            assert err.startswith("error: "), (command, err)
-    validate_code, validate_err = results["validate"]
-    if results["report"][0] == 1:
-        assert validate_code == 1
-    elif validate_code == 1:
+            assert err.startswith("error: ") and err == validate_err, (command, err, validate_err)
+    if validate_code == 1 and results["report"][0] == 0:
         assert validate_err.startswith("error: graph_hash does not match"), validate_err
 
 
@@ -329,24 +335,49 @@ def test_validated_hand_written_files_pass_every_command(files):
             _assert_every_command_accepts(work)
 
 
+def _load_or_error(load, *args):
+    try:
+        return load(*args)
+    except IngestError as exc:
+        return str(exc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sample_groups_load_what_manifests_load(dataset, data):
     lines = data.draw(corrupted({"m.jsonl": dataset["m.jsonl"]}))["m.jsonl"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.jsonl"
+        path, out = Path(tmp) / "m.jsonl", Path(tmp) / "kept.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        loaded = []
-        for load in (load_manifests, load_sample_groups):
-            try:
-                loaded.append(load(path))
-            except IngestError as exc:
-                loaded.append(str(exc))
-    manifests, groups = loaded
+        manifests = _load_or_error(load_manifests, path)
+        groups = _load_or_error(load_sample_groups, path)
+        counts = _load_or_error(dedup_file, path, out)
+        kept_lines = out.read_text().splitlines() if out.exists() else None
     if isinstance(manifests, str):
-        assert groups == manifests
+        assert groups == counts == manifests
+        assert kept_lines is None
     else:
         assert groups == [
             SampleGroup(m.sample_id, m.framework, m.task_category, m.operator_count)
             for m in manifests
         ]
+        kept, dropped = dedup(manifests)
+        assert counts == (len(kept), len(dropped))
+        line_of = {json.loads(line)["sample_id"]: line.strip() for line in lines}
+        assert kept_lines == [line_of[m.sample_id] for m in kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_ids_load_what_records_load(dataset, data):
+    lines = data.draw(corrupted({"r.jsonl": dataset["r.jsonl"]}))["r.jsonl"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = _load_or_error(load_records, path)
+        ids = _load_or_error(load_record_ids, path)
+    if isinstance(loaded, str):
+        assert ids == loaded
+    else:
+        assert ids[0] == loaded[0]
+        assert [r.sample_id for r in ids[1]] == [r.sample_id for r in loaded[1]]
