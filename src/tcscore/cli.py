@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import report as reporting
-from .dataset import dedup_file, hash_mismatch, stats
+from .dataset import dedup_file, stats
 from .records import IngestError, jsonl_writer, load_record_ids, load_records, load_sample_groups
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
 
@@ -141,9 +141,9 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _load_manifests(path, inspect=None):
+def _load_manifests(path, mismatched=None):
     """``load_sample_groups``, refusing a file without manifests."""
-    manifests = load_sample_groups(path, inspect)
+    manifests = load_sample_groups(path, mismatched)
     if not manifests:
         raise ValueError(f"{path}: no manifests")
     return manifests
@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
     if args.spec is not None:
         try:
             spec = SimSpec.from_dict(json.loads(Path(args.spec).read_text(encoding="utf-8")))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -229,12 +229,7 @@ def _cmd_validate(args) -> int:
     manifests = None
     if args.manifests is not None:
         mismatched: list[str] = []
-
-        def audit(manifest) -> None:
-            if hash_mismatch(manifest):
-                mismatched.append(manifest.sample_id)
-
-        manifests = _load_manifests(args.manifests, audit)
+        manifests = _load_manifests(args.manifests, mismatched)
         if mismatched:
             preview = ", ".join(repr(s) for s in mismatched[:5])
             raise ValueError(

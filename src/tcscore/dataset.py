@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Mapping, TypeVar
 from .graphhash import graph_hash
 from .records import SampleGroup, SampleManifest, TaskCategory, jsonl_writer, read_manifest_lines
 
-__all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "hash_mismatch", "stats"]
+__all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "stats"]
 
 _T = TypeVar("_T")
 
@@ -72,15 +72,13 @@ def _first_by_hash(pairs: Iterable[tuple[_T, str]]) -> Iterator[tuple[_T, bool]]
         yield item, first
 
 
-def hash_mismatch(manifest: SampleManifest) -> bool:
-    """Whether the stored graph_hash, in either case, disagrees with the recorded inputs."""
-    inputs = manifest.source_digest_inputs
-    return inputs is not None and graph_hash(inputs) != manifest.graph_hash.lower()
-
-
 def audit_hashes(manifests: Iterable[SampleManifest]) -> list[str]:
-    """Sample ids whose stored graph_hash disagrees with its recorded inputs."""
-    return [m.sample_id for m in manifests if hash_mismatch(m)]
+    """Sample ids whose stored graph_hash, in either case, disagrees with its recorded inputs."""
+    return [
+        m.sample_id for m in manifests
+        if m.source_digest_inputs is not None
+        and graph_hash(m.source_digest_inputs) != m.graph_hash.lower()
+    ]
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,10 @@ def _freeze_topology(topology: Sequence) -> Topology:
 class HashInput:
     """Canonical hashing inputs for one computational graph.
 
-    ``normalized_source`` must already be in normalized form (build via
-    ``from_source`` to guarantee that); ``topology`` lists operators in
-    topological order as (op_type, ordered input indices) pairs.
+    ``normalized_source`` must already be in normalized form: ``graph_hash``
+    hashes it as given (build via ``from_source`` to guarantee that).
+    ``topology`` lists operators in topological order as (op_type,
+    ordered input indices) pairs; lists and tuples hash alike.
     """
 
     normalized_source: str
@@ -82,11 +83,9 @@ def graph_hash(h: HashInput) -> str:
     """Hex digest of the canonical byte encoding of a graph.
 
     SHA-256 over the normalized source, a 0x1f separator, and the compact
-    JSON form of the topology. Normalization is idempotent, so it is
-    applied again here defensively; equal graphs hash equally no matter
-    how the input was constructed.
+    JSON form of the topology. The source is trusted to be normalized, as
+    ``HashInput`` requires; it is not normalized again.
     """
-    source = normalize_source(h.normalized_source)
     topology = _encode_topology(h.topology)
-    payload = source.encode("utf-8") + b"\x1f" + topology.encode("utf-8")
+    payload = h.normalized_source.encode("utf-8") + b"\x1f" + topology.encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

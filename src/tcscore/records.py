@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .graphhash import HashInput, _check_topology, _freeze_topology, normalize_source
+from .graphhash import HashInput, _check_topology, _freeze_topology, graph_hash, normalize_source
 from .tolerance import ScalarKind
 
 __all__ = [
@@ -426,20 +426,23 @@ def load_manifests(path: str | Path) -> list[SampleManifest]:
     return [manifest for _, manifest in _ingest_manifests(Path(path), _build_manifest)]
 
 
-def load_sample_groups(
-    path: str | Path, inspect: Callable[[SampleManifest], None] | None = None
-) -> list[SampleGroup]:
+def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) -> list[SampleGroup]:
     """Load a manifests file keeping only each line's ``SampleGroup``.
 
     Every line is checked in full, so this accepts exactly the files
     ``load_manifests`` accepts, with the same errors; only the group is
-    built. ``inspect``, when given, sees each line's full manifest, in
-    file order, before it is dropped.
+    built. With ``mismatched`` given, this also audits graph hashes: the
+    id of each line whose ``source_digest_inputs`` hash to other than its
+    stored graph_hash, in either case, is appended to it in file order.
     """
 
     def build(values: tuple) -> SampleGroup:
-        if inspect is not None:
-            inspect(_build_manifest(values))
+        digest = values[7]
+        if mismatched is not None and digest is not None:
+            # Checked JSON lists encode as the tuples ``_build_manifest`` freezes.
+            inputs = HashInput(normalize_source(digest["normalized_source"]), digest["topology"])
+            if graph_hash(inputs) != values[4].lower():
+                mismatched.append(values[0])
         return SampleGroup(*values[:4])
 
     return [group for _, group in _ingest_manifests(Path(path), build)]
@@ -578,8 +581,10 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:
                 raise IngestError(f"{path}:{lineno}: blank line")
             try:
                 obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                # Too deep a nesting, or an integer past Python's digit limit.
+                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise IngestError(f"{path}:{lineno}: invalid JSON: {message}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, stripped, obj

@@ -303,7 +303,7 @@ def _simulate_block(
         sample_kinds = output_kinds[first_output : first_output + count]
         operator_count = max(1, int(ops))
         source, topology = _synthesize_graph(sample_id, op_names[first_op : first_op + size])
-        digest_inputs = HashInput.from_source(source, topology)
+        digest_inputs = HashInput(source, topology)
         manifests.append(
             SampleManifest(
                 sample_id=sample_id,

@@ -2,8 +2,9 @@
 
 The first test takes a small simulated dataset, damages one line (a key
 dropped, a value swapped for an odd one, or the line replaced by non-JSON
-text) and runs the file-reading subcommands through ``main``. Every run
-must exit 0 or 1, and every command that fails must print the same
+text) or plants graph-hash mismatches in some manifests lines, and runs
+the file-reading subcommands through ``main``. Every run must exit 0 or
+1, and every command that fails must print the same
 ``error:`` line as ``validate``: they keep different parts of each line,
 but check every line alike. Only ``validate`` checks graph hashes, so
 it alone may fail on a hash mismatch.
@@ -25,12 +26,13 @@ of float range. Both also require ``dedup`` to write input lines, in
 input order and as they were read, accounting for every input line.
 
 The fifth holds the loaders that keep part of each line to the full
-loaders: on every corrupted manifests file, ``load_sample_groups`` and
-``dedup_file`` fail with the same error as ``load_manifests``, or all
-load, the groups are the manifests' projection and ``dedup_file`` keeps
-the lines of the manifests ``dedup`` keeps. On every corrupted records
-file, ``load_record_ids`` fails with the same error as ``load_records``,
-or both load the same sample ids.
+loaders: on every corrupted manifests file, ``load_sample_groups``, with
+and without its hash audit, and ``dedup_file`` fail with the same error
+as ``load_manifests``, or all load, the groups are the manifests'
+projection, the audit names the ids ``audit_hashes`` names and
+``dedup_file`` keeps the lines of the manifests ``dedup`` keeps. On
+every corrupted records file, ``load_record_ids`` fails with the same
+error as ``load_records``, or both load the same sample ids.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.cli import main
-from tcscore.dataset import dedup, dedup_file
+from tcscore.dataset import audit_hashes, dedup, dedup_file
 from tcscore.records import (
     IngestError,
     SampleGroup,
@@ -101,6 +103,33 @@ def corrupted(draw, dataset):
     return files
 
 
+@st.composite
+def planted(draw, dataset):
+    """The dataset with one to three manifests lines changed so that their
+    hash may disagree: a hex digit of ``graph_hash`` flipped, or a token
+    added to ``normalized_source``. A comment or whitespace in the source,
+    or an upper-cased digest, leaves the hash matching."""
+    files = {name: list(lines) for name, lines in dataset.items()}
+    lines = files["m.jsonl"]
+    for index in draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3, unique=True)):
+        obj = json.loads(lines[index])
+        digest, inputs = obj["graph_hash"], obj["source_digest_inputs"]
+        change = draw(st.sampled_from(["flip digit", "add token", "add comment", "upper case"]))
+        if change == "flip digit":
+            at = draw(st.integers(0, len(digest) - 1))
+            digit = int(digest[at], 16) ^ draw(st.integers(1, 15))
+            obj["graph_hash"] = f"{digest[:at]}{digit:x}{digest[at + 1:]}"
+        elif change == "add token":
+            inputs["normalized_source"] += draw(st.sampled_from(["x", " x", " return x0"]))
+        elif change == "add comment":
+            spacing = draw(st.sampled_from(["  # note\n", "\n\t", "\u3000"]))
+            inputs["normalized_source"] = inputs["normalized_source"].replace(" ", spacing, 1)
+        else:
+            obj["graph_hash"] = digest.upper()
+        lines[index] = json.dumps(obj)
+    return files
+
+
 def _run(argv: list[str], out: StringIO | None = None) -> tuple[int, str]:
     """Exit code and stderr of one CLI call, its stdout going to ``out``;
     any warning fails the test."""
@@ -120,7 +149,7 @@ def _run(argv: list[str], out: StringIO | None = None) -> tuple[int, str]:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_corrupted_line_fails_cleanly(dataset, data):
-    files = data.draw(corrupted(dataset))
+    files = data.draw(st.one_of(corrupted(dataset), planted(dataset)))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, lines in files.items():
@@ -345,22 +374,26 @@ def _load_or_error(load, *args):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sample_groups_load_what_manifests_load(dataset, data):
-    lines = data.draw(corrupted({"m.jsonl": dataset["m.jsonl"]}))["m.jsonl"]
+    manifests_only = {"m.jsonl": dataset["m.jsonl"]}
+    lines = data.draw(st.one_of(corrupted(manifests_only), planted(manifests_only)))["m.jsonl"]
+    mismatched: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "m.jsonl", Path(tmp) / "kept.jsonl"
         path.write_text("\n".join(lines) + "\n")
         manifests = _load_or_error(load_manifests, path)
         groups = _load_or_error(load_sample_groups, path)
+        audited = _load_or_error(load_sample_groups, path, mismatched)
         counts = _load_or_error(dedup_file, path, out)
         kept_lines = out.read_text().splitlines() if out.exists() else None
     if isinstance(manifests, str):
-        assert groups == counts == manifests
+        assert groups == audited == counts == manifests
         assert kept_lines is None
     else:
-        assert groups == [
+        assert groups == audited == [
             SampleGroup(m.sample_id, m.framework, m.task_category, m.operator_count)
             for m in manifests
         ]
+        assert mismatched == audit_hashes(manifests)
         kept, dropped = dedup(manifests)
         assert counts == (len(kept), len(dropped))
         line_of = {json.loads(line)["sample_id"]: line.strip() for line in lines}

@@ -94,10 +94,15 @@ def test_hash_golden_vector_with_comments_and_unicode_whitespace():
     )
     lists = [["matmul", [0, 1]], ["add", [2, 0]], ["relu", [3]]]
     tuples = (("matmul", (0, 1)), ("add", (2, 0)), ("relu", (3,)))
+    normalized = "def f(x0, w): x1 = matmul(x0, w) x2 = add(x1, x0)"
     expected = "e3a4d3443d6ac255e47e5acdd3f2fca622a2cf495f6d55ece7e528f713c9b05e"
-    for topology in (lists, tuples):
-        h = HashInput.from_source(source, topology)
-        assert h.normalized_source == "def f(x0, w): x1 = matmul(x0, w) x2 = add(x1, x0)"
+    # The last input is what ingest's hash audit builds: checked JSON lists, unfrozen.
+    for h in (
+        HashInput.from_source(source, lists),
+        HashInput.from_source(source, tuples),
+        HashInput(normalized, lists),
+    ):
+        assert h.normalized_source == normalized
         assert graph_hash(h) == expected
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import tcscore
+import tcscore.records
 from tcscore.cli import main
-from tcscore.graphhash import HashInput, graph_hash
+from tcscore.graphhash import HashInput, graph_hash, normalize_source
 from tcscore.records import (
     CompileFailure,
     Completed,
@@ -268,6 +269,42 @@ def test_cli_refuses_empty_inputs_naming_the_file(tmp_path, capsys, command, emp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "out.jsonl", "r.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, '{"sample_id": ' + "9" * 5000 + "}"], ids=["deep", "long-int"]
+)
+@pytest.mark.parametrize(
+    "command, bad",
+    [(c, "records") for c in ("score", "curve", "report", "violin", "validate")]
+    + [(c, "manifests") for c in ("score", "curve", "report", "violin", "validate", "stats", "dedup")]
+    + [("simulate", "spec")],
+)
+def test_cli_json_too_deep_or_too_long_is_a_data_error(tmp_path, capsys, command, bad, text):
+    # json.loads raises RecursionError past its nesting limit, and a plain
+    # ValueError for an integer literal past Python's 4300-digit limit.
+    m_path, r_path = write_dataset(tmp_path, *small_dataset())
+    if command == "simulate":
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        outputs = ["--manifests", str(tmp_path / "sm.jsonl"), "--records", str(tmp_path / "sr.jsonl")]
+        argv = ["--spec", str(path), *outputs]
+        where = f"error: {path}: "
+    else:
+        path = Path(m_path if bad == "manifests" else r_path)
+        lines = path.read_text().splitlines()
+        lines[1] = text
+        path.write_text("\n".join(lines) + "\n")
+        if command == "stats":
+            argv = ["--manifests", m_path]
+        elif command == "dedup":
+            argv = ["--manifests", m_path, "--out", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["--manifests", m_path, "--records", r_path]
+        where = f"error: {path}:2: invalid JSON: "
+    assert main([command, *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(where) and err.count("\n") == 1, err[:300]
+
+
 def test_cli_score_off_grid_level_fails(tmp_path, capsys):
     manifests, records = small_dataset()
     _, r_path = write_dataset(tmp_path, manifests, records)
@@ -402,6 +439,41 @@ def test_cli_validate_names_hash_mismatches_in_file_order(tmp_path, capsys):
         "error: graph_hash does not match recorded inputs for 7 samples:"
         " 'm6', 'm0', 'm5', 'm1', 'm4'\n"
     )
+
+
+def test_cli_validate_normalizes_each_recorded_source_once(tmp_path, capsys, monkeypatch):
+    # The on-disk source of test_hash_golden_vector_with_comments_and_unicode_whitespace.
+    source = (
+        "def f(x0, w):  # entry\n"
+        "\tx1 = matmul(x0,\u3000w)\x0b\r\n"
+        "  x2 = add(x1, x0) # residual\x85x9 = x2 "
+        "\xa0return x2\x1c# out\n"
+    )
+    topology = [["matmul", [0, 1]], ["add", [2, 0]], ["relu", [3]]]
+    normalized = "e3a4d3443d6ac255e47e5acdd3f2fca622a2cf495f6d55ece7e528f713c9b05e"
+    raw = graph_hash(HashInput(source, topology))  # the text hashed as written
+    calls = []
+    monkeypatch.setattr(
+        tcscore.records, "normalize_source", lambda text: calls.append(text) or normalize_source(text)
+    )
+    # validate builds no SampleManifest.
+    monkeypatch.setattr(tcscore.records, "_build_manifest", None)
+    m_path = tmp_path / "m.jsonl"
+    for stored, code, err in [
+        (normalized, 0, ""),
+        (normalized.upper(), 0, ""),
+        (raw, 1, "error: graph_hash does not match recorded inputs for 1 samples: 'g'\n"),
+    ]:
+        line = {
+            "sample_id": "g", "framework": "torch", "task_category": "CV", "operator_count": 3,
+            "graph_hash": stored,
+            "source_digest_inputs": {"normalized_source": source, "topology": topology},
+        }
+        m_path.write_text(json.dumps(line) + "\n")
+        assert main(["validate", "--manifests", str(m_path)]) == code
+        assert capsys.readouterr().err == err
+        assert calls == [source]
+        calls.clear()
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import tcscore.simulator
 from tcscore.cli import main
+from tcscore.graphhash import normalize_source
 from tcscore.records import Completed, CompileFailure, RuntimeCrash
 from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
@@ -225,6 +226,14 @@ def test_manifest_hashes_are_self_consistent_and_distinct():
     manifests, _ = simulate(SimSpec(seed=21, n_samples=100), CFG)
     assert audit_hashes(manifests) == []
     assert len({m.graph_hash for m in manifests}) == 100
+
+
+def test_simulated_sources_are_already_normalized():
+    # The simulator hashes its sources as written, without normalizing them.
+    manifests, _ = simulate(SimSpec(seed=5, n_samples=2 * BLOCK + 3), CFG)
+    for m in manifests:
+        source = m.source_digest_inputs.normalized_source
+        assert normalize_source(source) == source
 
 
 def test_end_to_end_pipeline_completes():
