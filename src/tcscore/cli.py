@@ -1,6 +1,7 @@
 """Command-line interface: score, report, simulate, and validate datasets.
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
+Handlers import what only they use, so a call loads only its subcommand's modules.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import report as reporting
-from .dataset import dedup_file, stats
 from .records import IngestError, jsonl_writer, load_record_ids, load_records, load_sample_groups
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
 
@@ -54,16 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_scoring_flags(cmd)
 
     csv_first, json_first = ("csv", "json", "md"), ("json", "csv", "md")
-    for name, build, render, formats, help_text in (
-        ("curve", score_curve, reporting.render_curve, csv_first,
-         "Export full-precision scores over the whole grid."),
-        ("report", score_curve, reporting.render_table, csv_first,
-         "Render the score table (3 decimals, '-' for S at t > 0)."),
-        ("violin", reporting.violin_data, reporting.render_violin, json_first,
-         "Per-group log2 speedups of correct samples at level 0."),
+    for name, formats, help_text in (
+        ("curve", csv_first, "Export full-precision scores over the whole grid."),
+        ("report", csv_first, "Render the score table (3 decimals, '-' for S at t > 0)."),
+        ("violin", json_first, "Per-group log2 speedups of correct samples at level 0."),
     ):
         cmd = add_command(name, _cmd_render, help_text)
-        cmd.set_defaults(build=build, render=render)
         cmd.add_argument("--records", required=True)
         cmd.add_argument("--manifests", required=True)
         add_scoring_flags(cmd)
@@ -125,7 +120,8 @@ def _config(args, header=None) -> ScoreConfig:
         if header is not None:
             unmeasured = [t for t in grid if t <= 0 and t not in header.grid]
             if unmeasured:
-                levels = ", ".join(map(reporting.level_label, unmeasured))
+                from .report import level_label
+                levels = ", ".join(map(level_label, unmeasured))
                 raise ValueError(f"--grid levels not on the records header grid: {levels}")
     return ScoreConfig(
         degradation_penalty=args.p if args.p is not None else cfg.degradation_penalty,
@@ -165,36 +161,46 @@ def _load_scoring_inputs(args):
 
 
 def _cmd_score(args) -> int:
+    from .report import level_row
+
     manifests, records, cfg = _load_scoring_inputs(args)
     if manifests is not None:
         join_samples(manifests, records)
-    row = reporting.level_row(score_level(records, args.t, cfg))
+    row = level_row(score_level(records, args.t, cfg))
     print(json.dumps({key: row[key] for key in _SCORE_KEYS}))
     return 0
 
 
 def _cmd_render(args) -> int:
     """Shared handler of ``report``, ``curve`` and ``violin``."""
-    manifests, records, cfg = _load_scoring_inputs(args)
-    data = args.build(manifests, records, cfg)
-    _emit(args.render(data, args.format), args.out)
+    from . import report
+
+    build, render = {
+        "curve": (score_curve, report.render_curve),
+        "report": (score_curve, report.render_table),
+        "violin": (report.violin_data, report.render_violin),
+    }[args.command]
+    _emit(render(build(*_load_scoring_inputs(args)), args.format), args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    manifests = _load_manifests(args.manifests)
-    _emit(reporting.render_stats(stats(manifests), args.format), args.out)
+    from .dataset import stats
+    from .report import render_stats
+
+    _emit(render_stats(stats(_load_manifests(args.manifests)), args.format), args.out)
     return 0
 
 
 def _cmd_dedup(args) -> int:
+    from .dataset import dedup_file
+
     kept, dropped = dedup_file(args.manifests, args.out)
     print(f"kept {kept} dropped {dropped}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    # Deferred so that only this subcommand pays the simulator's imports.
     from .simulator import SimSpec, records_header, simulate_blocks
 
     if Path(args.manifests).resolve() == Path(args.records).resolve():

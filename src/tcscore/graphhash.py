@@ -8,7 +8,6 @@ graphs can be detected without re-executing anything.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ __all__ = ["HashInput", "Topology", "graph_hash", "normalize_source"]
 Topology = tuple[tuple[str, tuple[int, ...]], ...]
 
 _COMMENT = re.compile(r"#[^\n]*")
-_encode_topology = json.JSONEncoder(separators=(",", ":")).encode
+# Topologies are checked JSON lists or frozen tuples, never cyclic.
+_encode_topology = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def normalize_source(text: str) -> str:
@@ -86,6 +86,8 @@ def graph_hash(h: HashInput) -> str:
     JSON form of the topology. The source is trusted to be normalized, as
     ``HashInput`` requires; it is not normalized again.
     """
+    import hashlib
+
     topology = _encode_topology(h.topology)
     payload = h.normalized_source.encode("utf-8") + b"\x1f" + topology.encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

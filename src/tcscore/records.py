@@ -535,7 +535,10 @@ def jsonl_writer(
         raise
 
 
-_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Lines encode the acyclic dicts of ``*_to_dict``: no cycle check needed.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+# Stripped lines hold no JSON whitespace at either end: a full ``raw_decode`` is ``json.loads``.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _ingest_manifests(path: Path, build: Callable[[tuple], _Item]) -> Iterator[tuple[str, _Item]]:
@@ -580,11 +583,16 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:
             if not stripped:
                 raise IngestError(f"{path}:{lineno}: blank line")
             try:
-                obj = json.loads(stripped)
-            except (ValueError, RecursionError) as exc:
-                # Too deep a nesting, or an integer past Python's digit limit.
-                message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise IngestError(f"{path}:{lineno}: invalid JSON: {message}") from exc
+                obj, end = _raw_decode(stripped)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(stripped):
+                try:
+                    obj = json.loads(stripped)
+                except (ValueError, RecursionError) as exc:
+                    # Too deep a nesting, or an integer past Python's digit limit.
+                    message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                    raise IngestError(f"{path}:{lineno}: invalid JSON: {message}") from exc
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, stripped, obj

@@ -9,16 +9,16 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
-from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from .dataset import StatsReport
 from .records import RunRecord, SampleGroup, SampleManifest
 from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
+
+if TYPE_CHECKING:
+    from .dataset import StatsReport
 
 __all__ = [
     "CURVE_COLUMNS",
@@ -61,6 +61,8 @@ CURVE_COLUMNS = (
 
 def round_half_away(value: float, decimals: int = 3) -> str:
     """Render at fixed decimals, ties away from zero."""
+    from decimal import ROUND_HALF_UP, Context, Decimal
+
     quantum = Decimal(1).scaleb(-decimals)
     # 400 digits hold any finite double at 3 decimals; the default 28 do not.
     wide = Context(prec=400)
@@ -221,6 +223,8 @@ def _plain(value: Any) -> str:
 
 
 def _csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

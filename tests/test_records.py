@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
 import math
 import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcscore.cli import main
-from tcscore.graphhash import HashInput, graph_hash
+from tcscore.graphhash import HashInput, _encode_topology, graph_hash
 from tcscore.records import (
     CompileFailure,
     Completed,
@@ -20,6 +22,7 @@ from tcscore.records import (
     RecordsHeader,
     RunRecord,
     RuntimeCrash,
+    SampleGroup,
     SampleManifest,
     TaskCategory,
     TensorComparison,
@@ -32,6 +35,10 @@ from tcscore.records import (
     record_to_dict,
     write_manifests,
     write_records,
+    _check_manifest,
+    _encode_line,
+    _read_json_lines,
+    header_to_dict,
 )
 from tcscore.scoring import DEFAULT_CONFIG
 from tcscore.simulator import SimSpec, simulate
@@ -473,3 +480,94 @@ def test_records_file_roundtrip_preserves_order(tmp_path_factory, records):
     write_records(path, HEADER, records)
     _, loaded = load_records(path)
     assert loaded == records
+
+
+# -- line decoding and encoding ------------------------------------------------
+
+# Any text a manifests file can hold on one line.
+line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+# Valid JSON, possibly padded with whitespace or followed by more text.
+json_lines = st.builds(
+    lambda value, pad, tail: pad + json.dumps(value) + pad + tail,
+    json_values,
+    st.sampled_from(["", " ", "\t", "\r", "\u3000", "\x85"]),
+    st.sampled_from(["", "x", " {}", ",", "]", "}"]),
+)
+
+
+def _decode_reference(path, text: str):
+    """What one manifests line decodes to, by ``json.loads``: (object, None) or (None, error)."""
+    stripped = text.strip()
+    if not stripped:
+        return None, f"{path}:1: blank line"
+    try:
+        obj = json.loads(stripped)
+    except (ValueError, RecursionError) as exc:
+        message = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        return None, f"{path}:1: invalid JSON: {message}"
+    if not isinstance(obj, dict):
+        return None, f"{path}:1: expected a JSON object"
+    return obj, None
+
+
+@given(line_text | json_lines)
+@example("\ufeff{}")
+@example("{} {}")
+@example("{}x")
+@example("[")
+@example("NaN")
+@example('"s"')
+@example("[" * 200_000)
+@example("9" * 5000)
+@example('{"sample_id": ' + "9" * 5000 + "}")
+@settings(max_examples=300, deadline=None)
+def test_decoding_words_every_error_as_json_loads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("decode") / "m.jsonl"
+    path.write_bytes(text.encode("utf-8") + b"\n")
+    obj, error = _decode_reference(path, text)
+    if error is None:
+        assert list(_read_json_lines(path)) == [(1, text.strip(), obj)]
+        try:
+            values = _check_manifest(obj)
+        except ValueError as exc:
+            error = f"{path}:1: {exc}"
+        else:
+            assert load_sample_groups(path) == [SampleGroup(*values[:4])]
+            return
+    with pytest.raises(IngestError) as caught:
+        load_sample_groups(path)
+    assert str(caught.value) == error
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(["validate", "--manifests", str(path)]) == 1
+    assert stderr.getvalue() == f"error: {error}\n"
+
+
+def _dumps(value, **kwargs) -> str:
+    return json.dumps(value, separators=(",", ":"), **kwargs)
+
+
+@given(manifests, completed | failed)
+@settings(max_examples=150)
+def test_line_encoder_matches_json_dumps(manifest, record):
+    for data in (manifest_to_dict(manifest), record_to_dict(record), header_to_dict(HEADER)):
+        assert _encode_line(data) == _dumps(data, sort_keys=True)
+
+
+topologies = st.lists(
+    st.tuples(st.text(max_size=8), st.lists(st.integers(), max_size=3)), min_size=1, max_size=5
+)
+
+
+@given(topologies)
+@example([("ädd✓", [0]), ("中文", [])])
+@settings(max_examples=150)
+def test_topology_encoder_matches_json_dumps(topology):
+    as_lists = [[op, list(inputs)] for op, inputs in topology]
+    frozen = HashInput.from_source("", as_lists).topology
+    assert _encode_topology(as_lists) == _encode_topology(frozen) == _dumps(as_lists)

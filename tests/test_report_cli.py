@@ -614,21 +614,42 @@ def test_cli_subprocess_entrypoint(tmp_path):
     assert result.returncode == 2
 
 
-def test_scoring_path_does_not_load_numpy(tmp_path, capsys):
-    # Only the simulator needs numpy; scoring a file must not import it.
-    r_path = tmp_path / "r.jsonl"
-    outputs = ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(r_path)]
-    assert main(["simulate", "--seed", "3", "--n", "20", *outputs]) == 0
-    child = (
-        "import sys, tcscore, tcscore.cli\n"
-        f"assert tcscore.cli.main(['score', '--records', {str(r_path)!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-    )
+_SCORING_UNUSED = ("hashlib", "tcscore.dataset", "decimal")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (None, ("hashlib",)),
+        (["stats", "--manifests", "M", "--format", "json"], ("hashlib", "csv", "decimal")),
+        (["dedup", "--manifests", "M", "--out", "OUT"],
+         ("hashlib", "csv", "decimal", "tcscore.report")),
+        (["validate", "--manifests", "M", "--records", "R"],
+         ("tcscore.report", "tcscore.dataset", "csv", "decimal")),
+        (["score", "--records", "R"], _SCORING_UNUSED),
+        (["curve", "--manifests", "M", "--records", "R", "--format", "json"], _SCORING_UNUSED),
+        (["violin", "--manifests", "M", "--records", "R"], _SCORING_UNUSED),
+    ],
+    ids=["import", "stats", "dedup", "validate", "score", "curve", "violin"],
+)
+def test_command_leaves_unused_modules_unloaded(tmp_path, argv, unused):
+    # Only the simulator needs numpy; each other command, run in a fresh
+    # interpreter, also leaves unloaded the modules it never calls.
+    paths = {"M": tmp_path / "m.jsonl", "R": tmp_path / "r.jsonl", "OUT": tmp_path / "out.jsonl"}
+    assert main(["simulate", "--seed", "3", "--n", "20", "--manifests", str(paths["M"]),
+                 "--records", str(paths["R"])]) == 0
+    child = "import sys, tcscore\n"
+    if argv is not None:
+        argv = [str(paths.get(arg, arg)) for arg in argv]
+        child += f"import tcscore.cli\nassert tcscore.cli.main({argv!r}) == 0\n"
+    child += f"print([m for m in {('numpy', *unused)!r} if m in sys.modules], file=sys.stderr)\n"
     result = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=_child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["total"] == 20
+    assert result.stderr == "[]\n"
+    if argv is not None and argv[0] == "score":
+        assert json.loads(result.stdout)["total"] == 20
 
 
 def test_report_rendering_is_stable(tmp_path):
