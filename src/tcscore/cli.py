@@ -115,7 +115,7 @@ def _config(args, header=None) -> ScoreConfig:
     """
     cfg = DEFAULT_CONFIG if header is None else ScoreConfig.from_header(header)
     grid = cfg.grid
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         grid = _parse_grid(args.grid)
         if header is not None:
             unmeasured = [t for t in grid if t <= 0 and t not in header.grid]
@@ -137,26 +137,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _load_manifests(path, mismatched=None):
-    """``load_sample_groups``, refusing a file without manifests."""
-    manifests = load_sample_groups(path, mismatched)
-    if not manifests:
-        raise ValueError(f"{path}: no manifests")
-    return manifests
-
-
-def _load_records(path, load=load_records):
-    """``load`` (``load_records`` or ``load_record_ids``), refusing a file without records."""
-    header, records = load(path)
-    if not records:
-        raise ValueError(f"{path}: no records after the header")
-    return header, records
-
-
 def _load_scoring_inputs(args):
-    header, records = _load_records(args.records)
+    header, records = load_records(args.records)
     cfg = _config(args, header)
-    manifests = None if args.manifests is None else _load_manifests(args.manifests)
+    manifests = None if args.manifests is None else load_sample_groups(args.manifests)
     return manifests, records, cfg
 
 
@@ -188,7 +172,7 @@ def _cmd_stats(args) -> int:
     from .dataset import stats
     from .report import render_stats
 
-    _emit(render_stats(stats(_load_manifests(args.manifests)), args.format), args.out)
+    _emit(render_stats(stats(load_sample_groups(args.manifests)), args.format), args.out)
     return 0
 
 
@@ -235,7 +219,7 @@ def _cmd_validate(args) -> int:
     manifests = None
     if args.manifests is not None:
         mismatched: list[str] = []
-        manifests = _load_manifests(args.manifests, mismatched)
+        manifests = load_sample_groups(args.manifests, mismatched)
         if mismatched:
             preview = ", ".join(repr(s) for s in mismatched[:5])
             raise ValueError(
@@ -244,7 +228,7 @@ def _cmd_validate(args) -> int:
             )
     records = None
     if args.records is not None:
-        _, records = _load_records(args.records, load_record_ids)
+        _, records = load_record_ids(args.records)
     if manifests is not None and records is not None:
         join_samples(manifests, records)
     parts = []

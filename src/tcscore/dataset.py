@@ -36,8 +36,8 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
     only its text and graph hash are kept. A kept line is
     written as read, stripped of surrounding whitespace, never re-encoded;
     ``out`` is replaced only after the last line passed, so it may be
-    ``path``, and an empty ``path`` is refused. Returns the (kept,
-    dropped) line counts.
+    ``path``, and keeps its old bytes when ``path`` is refused, empty
+    included. Returns the (kept, dropped) line counts.
     """
     kept = dropped = 0
 
@@ -52,8 +52,6 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
 
     with jsonl_writer(out) as write:
         write(kept_lines())
-        if not kept:
-            raise ValueError(f"{path}: no manifests")
     return kept, dropped
 
 

@@ -323,7 +323,7 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
 def record_from_dict(
     data: Mapping[str, Any], grid: frozenset[float] | None = None
 ) -> RunRecord:
-    """Parse one record; with ``grid`` given, min_passing_t must lie on it."""
+    """Parse one record; with ``grid`` given, min_passing_t must be one of its levels."""
     return _build_record(_check_record(data, grid))
 
 
@@ -367,7 +367,9 @@ def _check_comparison(data: Any, grid: frozenset[float] | None) -> tuple:
     if level is not None:
         level = _expect_real(data, "min_passing_t")
         if grid is not None and level not in grid:
-            raise ValueError(f"min_passing_t {level} is not on the declared grid")
+            raise ValueError(
+                f"min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
+            )
     tensor_index = _expect_int(data, "tensor_index")
     kind = _expect_str(data, "kind")
     _comparison_rules(tensor_index)
@@ -422,7 +424,7 @@ def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
 
 
 def load_manifests(path: str | Path) -> list[SampleManifest]:
-    """Load a manifests file: one JSON manifest per line, unique ids."""
+    """Load a manifests file: one JSON manifest per line, unique ids, at least one line."""
     return [manifest for _, manifest in _ingest_manifests(Path(path), _build_manifest)]
 
 
@@ -451,9 +453,9 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     """Load a records file: the header line plus one record per line.
 
-    The header grid must contain level 0, and each record's min_passing_t
-    values must lie on it. Returns the parsed header together with the
-    records in file order.
+    The header grid must contain level 0, each min_passing_t must be one
+    of its levels t <= 0, and at least one record must follow. Returns the
+    parsed header together with the records in file order.
     """
     return _load_records(Path(path), _build_record)
 
@@ -479,8 +481,11 @@ def _load_records(path: Path, build: Callable[[tuple], _Item]) -> tuple[RecordsH
     if 0.0 not in header.grid:
         # `violin` and the default `score` read level 0.
         raise IngestError(f"{path}:{lineno}: header grid must contain level 0")
-    grid = frozenset(header.grid)
-    records = _ingest(path, lines, lambda obj: _check_record(obj, grid), build)
+    # A comparison passes at a numeric level; levels > 0 only forgive failures.
+    grid = frozenset(t for t in header.grid if t <= 0)
+    records = _ingest(
+        path, lines, lambda obj: _check_record(obj, grid), build, "no records after the header"
+    )
     return header, [record for _, record in records]
 
 
@@ -542,7 +547,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _ingest_manifests(path: Path, build: Callable[[tuple], _Item]) -> Iterator[tuple[str, _Item]]:
-    return _ingest(path, _read_json_lines(path), _check_manifest, build)
+    return _ingest(path, _read_json_lines(path), _check_manifest, build, "no manifests")
 
 
 def _ingest(
@@ -550,12 +555,14 @@ def _ingest(
     lines: Iterator[tuple[int, str, dict[str, Any]]],
     check: Callable[[dict[str, Any]], tuple],
     build: Callable[[tuple], _Item],
+    empty: str,
 ) -> Iterator[tuple[str, _Item]]:
     """Check every remaining line, yielding its text and what ``build`` keeps of it.
 
     ``check`` runs all of a line's checks and returns its checked values,
     the sample id first; ``build`` runs only on values that passed, so it
-    cannot fail. Sample ids must be unique.
+    cannot fail. Sample ids must be unique, and a file with no line left
+    raises ``empty``: scores are means over a nonempty sample set.
     """
     first_seen: dict[str, int] = {}
     for lineno, text, obj in lines:
@@ -570,6 +577,8 @@ def _ingest(
                 f" (first seen at line {duplicate})"
             )
         yield text, build(values)
+    if not first_seen:
+        raise IngestError(f"{path}: {empty}")
 
 
 def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:

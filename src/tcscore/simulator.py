@@ -149,9 +149,10 @@ class SimSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "SimSpec":
-        """Build a spec from parsed JSON; unnamed fields and law keys keep defaults."""
+        """Build a spec from parsed JSON; absent keys keep defaults, unknown keys are refused."""
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
+        _refuse_unknown_keys(data, cls)
         kwargs: dict[str, Any] = {}
         for key in ("seed", "n_samples"):
             if key in data:
@@ -169,15 +170,18 @@ class SimSpec:
             if key in data:
                 params = _expect_object(data, key)
                 default = getattr(cls, key)
-                known = [f.name for f in fields(default)]
-                unknown = sorted(set(params) - set(known))
-                if unknown:
-                    raise ValueError(
-                        f"{key}: unknown keys {', '.join(unknown)} (expected: {', '.join(known)})"
-                    )
+                _refuse_unknown_keys(params, default, f"{key}: ")
                 values = {name: _expect_real(params, name) for name in params}
                 kwargs[key] = replace(default, **values)
         return cls(**kwargs)
+
+
+def _refuse_unknown_keys(data: Mapping[str, Any], model: Any, where: str = "") -> None:
+    """Refuse keys of ``data`` that name no field of dataclass ``model``."""
+    known = [f.name for f in fields(model)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{where}unknown keys {', '.join(unknown)} (expected: {', '.join(known)})")
 
 
 def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:

@@ -27,10 +27,12 @@ from tcscore.records import (
     TaskCategory,
     TensorComparison,
     load_manifests,
+    load_record_ids,
     load_records,
     load_sample_groups,
     manifest_from_dict,
     manifest_to_dict,
+    read_manifest_lines,
     record_from_dict,
     record_to_dict,
     write_manifests,
@@ -117,7 +119,31 @@ def test_crash_record_without_compiled_time_is_valid():
 def test_load_manifests_empty_file(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text("")
-    assert load_manifests(path) == []
+    with pytest.raises(IngestError, match=r"m\.jsonl: no manifests$"):
+        load_manifests(path)
+
+
+@pytest.mark.parametrize(
+    "load, body, message",
+    [
+        (load_manifests, "", "no manifests"),
+        (load_sample_groups, "", "no manifests"),
+        (lambda path: load_sample_groups(path, []), "", "no manifests"),
+        (lambda path: list(read_manifest_lines(path)), "", "no manifests"),
+        (load_records, json.dumps(header_to_dict(HEADER)) + "\n", "no records after the header"),
+        (load_record_ids, json.dumps(header_to_dict(HEADER)) + "\n", "no records after the header"),
+    ],
+    ids=["manifests", "groups", "groups-audited", "manifest-lines", "records", "record-ids"],
+)
+def test_every_loader_refuses_an_empty_body_as_the_cli_does(tmp_path, capsys, load, body, message):
+    path = tmp_path / "in.jsonl"
+    path.write_text(body)
+    with pytest.raises(IngestError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: {message}"
+    flag = "--records" if body else "--manifests"
+    assert main(["validate", flag, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
 
 
 def test_load_manifests_in_order(tmp_path):
@@ -203,8 +229,8 @@ def test_load_records_missing_header(tmp_path):
 def test_load_records_header_only(tmp_path):
     path = tmp_path / "r.jsonl"
     write_records(path, HEADER, [])
-    header, loaded = load_records(path)
-    assert header == HEADER and loaded == []
+    with pytest.raises(IngestError, match=r"r\.jsonl: no records after the header$"):
+        load_records(path)
 
 
 def test_load_records_validation_errors_located(tmp_path):
@@ -348,6 +374,19 @@ def test_load_records_rejects_off_grid_level(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("level", [1.0, 3.0])
+def test_validate_refuses_a_forgiveness_level_as_min_passing_t(tmp_path, capsys, level):
+    # HEADER lists the forgiveness levels 1-4, but a comparison passes only at t <= 0.
+    path = tmp_path / "r.jsonl"
+    write_records(path, HEADER, [make_record("a"), make_record("b", levels=(-4.0, level))])
+    message = f"{path}:3: min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
+    with pytest.raises(IngestError) as caught:
+        load_records(path)
+    assert str(caught.value) == message
+    assert main(["validate", "--records", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
     m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
     write_manifests(m_path, [make_manifest("a")])
@@ -478,6 +517,10 @@ def test_records_file_roundtrip_preserves_order(tmp_path_factory, records):
     records = list(unique.values())
     path = tmp_path_factory.mktemp("rt") / "r.jsonl"
     write_records(path, HEADER, records)
+    if not records:
+        with pytest.raises(IngestError, match="no records after the header"):
+            load_records(path)
+        return
     _, loaded = load_records(path)
     assert loaded == records
 

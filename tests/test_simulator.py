@@ -95,6 +95,22 @@ def test_spec_from_dict_names_unknown_law_keys(key, expected):
         SimSpec.from_dict({key: {"z": 1.0, "mean": 0.0}})
 
 
+def test_spec_from_dict_names_unknown_top_level_keys(tmp_path, capsys):
+    expected = (
+        "seed, n_samples, framework, category_mix, speedup_law, error_rates, noise_law, opcount_law"
+    )
+    message = f"unknown keys n_sample, z (expected: {expected})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SimSpec.from_dict({"z": 1, "n_sample": 7, "seed": 3})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_sample": 7}))
+    out = [str(tmp_path / "m.jsonl"), str(tmp_path / "r.jsonl")]
+    argv = ["simulate", "--spec", str(spec), "--manifests", out[0], "--records", out[1]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {spec}: unknown keys n_sample (expected: {expected})\n"
+    assert not any(Path(path).exists() for path in out)
+
+
 def test_clean_noiseless_runs_pass_at_strictest_level():
     spec = SimSpec(
         seed=3,
