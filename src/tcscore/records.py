@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import re
 import sys
@@ -223,6 +224,17 @@ class RecordsHeader:
     b: float
     producer: str
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError("grid levels must be finite")
+        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValueError("grid must be strictly ascending")
+        if not 0 < self.p < 1 or not 0 < self.b < 1:
+            raise ValueError("penalties p and b must lie in (0, 1)")
+        if 0.0 not in self.grid:
+            # `violin` and the default `score` read level 0.
+            raise ValueError("grid must contain level 0")
+
 
 def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
     data: dict[str, Any] = {
@@ -397,21 +409,12 @@ def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
 
 
 def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
+    """Check the header's JSON types; ``RecordsHeader`` checks its values."""
     raw_grid = data.get("grid")
-    if (
-        not isinstance(raw_grid, list)
-        or not raw_grid
-        or not all(_is_real(v) for v in raw_grid)
-    ):
+    if not isinstance(raw_grid, list) or not raw_grid or not all(map(_is_real, raw_grid)):
         raise ValueError("grid must be a nonempty list of finite numbers")
-    grid = tuple(float(v) for v in raw_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly ascending")
-    p = _expect_real(data, "p")
-    b = _expect_real(data, "b")
-    if not 0 < p < 1 or not 0 < b < 1:
-        raise ValueError("penalties p and b must lie in (0, 1)")
-    return RecordsHeader(grid, p, b, _expect_str(data, "producer"))
+    p, b = _expect_real(data, "p"), _expect_real(data, "b")
+    return RecordsHeader(tuple(map(float, raw_grid)), p, b, _expect_str(data, "producer"))
 
 
 def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -453,9 +456,9 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
 def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     """Load a records file: the header line plus one record per line.
 
-    The header grid must contain level 0, each min_passing_t must be one
-    of its levels t <= 0, and at least one record must follow. Returns the
-    parsed header together with the records in file order.
+    The header must pass ``RecordsHeader``'s rules, each min_passing_t
+    must be one of its levels t <= 0, and at least one record must follow.
+    Returns the parsed header together with the records in file order.
     """
     return _load_records(Path(path), _build_record)
 
@@ -478,9 +481,6 @@ def _load_records(path: Path, build: Callable[[tuple], _Item]) -> tuple[RecordsH
         break
     else:
         raise IngestError(f"{path}: missing header line")
-    if 0.0 not in header.grid:
-        # `violin` and the default `score` read level 0.
-        raise IngestError(f"{path}:{lineno}: header grid must contain level 0")
     # A comparison passes at a numeric level; levels > 0 only forgive failures.
     grid = frozenset(t for t in header.grid if t <= 0)
     records = _ingest(

@@ -21,8 +21,6 @@ if TYPE_CHECKING:
     from .dataset import StatsReport
 
 __all__ = [
-    "CURVE_COLUMNS",
-    "TABLE_COLUMNS",
     "level_row",
     "render_curve",
     "render_stats",
@@ -33,30 +31,11 @@ __all__ = [
     "violin_data",
 ]
 
-TABLE_COLUMNS = ("t", "alpha", "beta", "lambda", "eta", "S(t)", "gamma", "ES(t)")
-# published table column -> level_row key
-_TABLE_KEYS = dict(zip(TABLE_COLUMNS, ("t", "alpha", "beta", "lambda", "eta", "S", "gamma", "ES")))
-
-CURVE_COLUMNS = (
-    "t",
-    "total",
-    "correct",
-    "slowdowns",
-    "errors",
-    "errors_accuracy",
-    "errors_crash",
-    "errors_compile",
-    "alpha",
-    "beta",
-    "lambda",
-    "eta",
-    "share_accuracy",
-    "share_crash",
-    "share_compile",
-    "gamma",
-    "S",
-    "ES",
-)
+# level_row key -> published table heading, in table column order
+_TABLE_HEADINGS = {
+    "t": "t", "alpha": "alpha", "beta": "beta", "lambda": "lambda",
+    "eta": "eta", "S": "S(t)", "gamma": "gamma", "ES": "ES(t)",
+}
 
 
 def round_half_away(value: float, decimals: int = 3) -> str:
@@ -75,7 +54,7 @@ def level_label(t: float) -> str:
 
 
 def level_row(point: CurvePoint) -> dict[str, Any]:
-    """One level's full-precision fields, keyed by ``CURVE_COLUMNS``."""
+    """One level's full-precision fields: the one list of curve fields, in column order."""
     comp = point.components
     return {
         "t": point.t,
@@ -99,16 +78,11 @@ def level_row(point: CurvePoint) -> dict[str, Any]:
     }
 
 
-def curve_rows(curve: ScoreCurve) -> list[dict[str, Any]]:
-    """Full-precision rows with every component and score."""
-    return [level_row(point) for point in curve.points]
-
-
 def table_rows(curve: ScoreCurve) -> list[dict[str, str]]:
     """Score table rows keyed by the published column names."""
     return [
-        {column: _table_cell(key, row[key]) for column, key in _TABLE_KEYS.items()}
-        for row in curve_rows(curve)
+        {heading: _table_cell(key, row[key]) for key, heading in _TABLE_HEADINGS.items()}
+        for row in map(level_row, curve.points)
     ]
 
 
@@ -124,12 +98,12 @@ def render_table(curve: ScoreCurve, fmt: str = "csv") -> str:
         {column: None if cell == "-" else float(cell) for column, cell in row.items()}
         for row in rows
     ]
-    return _render(fmt, payload, (TABLE_COLUMNS, rows))
+    return _render(fmt, payload, (list(rows[0]), rows))
 
 
 def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
-    rows = curve_rows(curve)
-    return _render(fmt, rows, (CURVE_COLUMNS, rows))
+    rows = [level_row(point) for point in curve.points]
+    return _render(fmt, rows, (list(rows[0]), rows))
 
 
 def violin_data(

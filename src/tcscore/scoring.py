@@ -305,6 +305,11 @@ class CurvePoint:
 class ScoreCurve:
     points: tuple[CurvePoint, ...]
 
+    def __post_init__(self) -> None:
+        # Reports read their columns from the first point's row.
+        if not self.points:
+            raise ValueError("a score curve needs at least one point")
+
 
 def join_samples(
     manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord]

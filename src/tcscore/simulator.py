@@ -161,7 +161,7 @@ class SimSpec:
             kwargs["framework"] = _expect_str(data, "framework")
         for key, parse_name in (
             ("category_mix", TaskCategory.from_name),
-            ("noise_law", ScalarKind.from_name),
+            ("noise_law", _noise_kind),
         ):
             if key in data:
                 weights = _expect_object(data, key)
@@ -182,6 +182,15 @@ def _refuse_unknown_keys(data: Mapping[str, Any], model: Any, where: str = "") -
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"{where}unknown keys {', '.join(unknown)} (expected: {', '.join(known)})")
+
+
+def _noise_kind(name: str) -> ScalarKind:
+    # Ingest maps unknown kind names to OTHER; a spec names only kinds tcscore models.
+    try:
+        return ScalarKind(name)
+    except ValueError:
+        expected = ", ".join(kind.value for kind in ScalarKind)
+        raise ValueError(f"unknown noise_law kind {name!r} (expected one of: {expected})") from None
 
 
 def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:

@@ -390,14 +390,61 @@ def test_validate_refuses_a_forgiveness_level_as_min_passing_t(tmp_path, capsys,
 def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
     m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
     write_manifests(m_path, [make_manifest("a")])
-    header = RecordsHeader(tuple(t for t in GRID if t != 0.0), 0.1, 0.1, "test")
-    write_records(r_path, header, [make_record("a", levels=(-4.0,))])
-    message = f"{r_path}:1: header grid must contain level 0"
-    with pytest.raises(IngestError, match=r"r\.jsonl:1: header grid must contain level 0"):
+    # `RecordsHeader` refuses this grid, so the header line is written as raw JSON.
+    header = {"grid": [t for t in GRID if t != 0.0], "p": 0.1, "b": 0.1, "producer": "test"}
+    lines = [json.dumps(header), *_record_lines([make_record("a", levels=(-4.0,))])]
+    r_path.write_text("\n".join(lines) + "\n")
+    message = f"{r_path}:1: bad header: grid must contain level 0"
+    with pytest.raises(IngestError) as caught:
         load_records(r_path)
+    assert str(caught.value) == message
     for command in ("validate", "report", "violin", "score"):
         assert main([command, "--records", str(r_path), "--manifests", str(m_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "grid, p, b, message",
+    [
+        ((-1.0, math.nan, 0.0), 0.1, 0.1, "grid levels must be finite"),
+        ((-1.0, 0.0, math.inf), 0.1, 0.1, "grid levels must be finite"),
+        ((0.0, -1.0), 0.1, 0.1, "grid must be strictly ascending"),
+        ((-1.0, 0.0, 0.0), 0.1, 0.1, "grid must be strictly ascending"),
+        ((-1.0, 0.0), 0.0, 0.1, "penalties p and b must lie in (0, 1)"),
+        ((-1.0, 0.0), 0.1, 1.0, "penalties p and b must lie in (0, 1)"),
+        ((-1.0, 0.0), math.nan, 0.1, "penalties p and b must lie in (0, 1)"),
+        ((-2.0, -1.0), 0.1, 0.1, "grid must contain level 0"),
+        ((), 0.1, 0.1, "grid must contain level 0"),
+        # Rules apply in order: ascending, then penalties, then level 0.
+        ((1.0, -1.0), 2.0, 0.1, "grid must be strictly ascending"),
+        ((-2.0, -1.0), 2.0, 0.1, "penalties p and b must lie in (0, 1)"),
+    ],
+)
+def test_records_header_refuses_each_rule(grid, p, b, message):
+    with pytest.raises(ValueError) as caught:
+        RecordsHeader(grid, p, b, "test")
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"grid": [0.0, -1.0]}, "grid must be strictly ascending"),
+        ({"p": 1.0}, "penalties p and b must lie in (0, 1)"),
+        ({"b": 0}, "penalties p and b must lie in (0, 1)"),
+        ({"grid": []}, "grid must be a nonempty list of finite numbers"),
+        ({"p": "0.1"}, "p must be a finite number"),
+        ({"producer": None}, "producer must be a string"),
+    ],
+)
+def test_load_records_refuses_a_header_by_its_rules(tmp_path, fields, message):
+    path = tmp_path / "r.jsonl"
+    header = {"grid": [-1.0, 0.0], "p": 0.1, "b": 0.1, "producer": "test", **fields}
+    lines = [json.dumps(header), *_record_lines([make_record("a", levels=(-1.0,))])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError) as caught:
+        load_records(path)
+    assert str(caught.value) == f"{path}:1: bad header: {message}"
 
 
 def test_load_records_duplicate_id(tmp_path):

@@ -22,6 +22,7 @@ from tcscore.scoring import (
     ErrorCode,
     ScoreComponents,
     ScoreConfig,
+    ScoreCurve,
     classify,
     components,
     error_aware_rectified_speedup,
@@ -72,6 +73,12 @@ def test_config_validation():
         ScoreConfig(grid=(1.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         ScoreConfig(grid=(-1.0, math.nan, 0.0))
+
+
+def test_score_curve_refuses_no_points():
+    # Reports take their columns from the first point's row.
+    with pytest.raises(ValueError, match="at least one point"):
+        ScoreCurve(())
 
 
 def test_classified_sample_validation():

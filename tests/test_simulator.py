@@ -111,6 +111,39 @@ def test_spec_from_dict_names_unknown_top_level_keys(tmp_path, capsys):
     assert not any(Path(path).exists() for path in out)
 
 
+def test_spec_from_dict_refuses_unknown_noise_kinds(tmp_path, capsys):
+    # Ingest maps unknown kind names to `other`; a spec must name modelled kinds.
+    expected = ", ".join(kind.value for kind in ScalarKind)
+    message = f"unknown noise_law kind 'flaot32' (expected one of: {expected})"
+    with pytest.raises(ValueError) as caught:
+        SimSpec.from_dict({"noise_law": {"float16": 0.5, "flaot32": 0.5}})
+    assert str(caught.value) == message
+    assert SimSpec.from_dict({"noise_law": {"other": 0.5}}).noise_law == {ScalarKind.OTHER: 0.5}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"noise_law": {"flaot32": 0.5}}))
+    out = [str(tmp_path / "m.jsonl"), str(tmp_path / "r.jsonl")]
+    argv = ["simulate", "--spec", str(spec), "--n", "20", "--manifests", out[0], "--records", out[1]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {spec}: {message}\n"
+    assert not any(Path(path).exists() for path in out)
+
+
+def test_cli_simulate_refuses_a_grid_without_level_zero(tmp_path, capsys):
+    # The records file would be refused by every other command.
+    records = tmp_path / "r.jsonl"
+    records.write_bytes(b"keep me\n")
+    argv = ["simulate", "--n", "3", "--grid=-2,-1"]
+    argv += ["--manifests", str(tmp_path / "m.jsonl"), "--records", str(records)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid must contain level 0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
+    assert records.read_bytes() == b"keep me\n"
+
+
 def test_clean_noiseless_runs_pass_at_strictest_level():
     spec = SimSpec(
         seed=3,
