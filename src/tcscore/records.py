@@ -168,6 +168,7 @@ class CompileFailure:
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
 _OUTCOMES = {"runtime_crash": RuntimeCrash, "compile_failure": CompileFailure}
+_OUTCOME_KINDS = {outcome: kind for kind, outcome in _OUTCOMES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,15 +226,27 @@ class RecordsHeader:
     producer: str
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, self.grid)):
-            raise ValueError("grid levels must be finite")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly ascending")
-        if not 0 < self.p < 1 or not 0 < self.b < 1:
-            raise ValueError("penalties p and b must lie in (0, 1)")
+        object.__setattr__(self, "grid", level_grid(self.grid))
+        check_penalties(self.p, self.b)
         if 0.0 not in self.grid:
             # `violin` and the default `score` read level 0.
             raise ValueError("grid must contain level 0")
+
+
+# The grid and penalty rules that the header, ``ScoreConfig`` and the tolerance scan share.
+def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
+    """Check a level grid; return its one form, floats with 0 never -0.0 (-0.0 + 0.0 is 0.0)."""
+    grid = tuple([float(t) + 0.0 for t in levels])
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("grid levels must be finite")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly ascending")
+    return grid
+
+
+def check_penalties(p: float, b: float) -> None:
+    if not 0 < p < 1 or not 0 < b < 1:
+        raise ValueError("penalties p and b must lie in (0, 1)")
 
 
 def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
@@ -316,10 +329,8 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
                 for c in outcome.comparisons
             ],
         }
-    elif isinstance(outcome, RuntimeCrash):
-        encoded = {"kind": "runtime_crash", "message": outcome.message}
     else:
-        encoded = {"kind": "compile_failure", "message": outcome.message}
+        encoded = {"kind": _OUTCOME_KINDS[type(outcome)], "message": outcome.message}
     data: dict[str, Any] = {
         "sample_id": record.sample_id,
         "eager_time_s": record.eager_time_s,
@@ -414,7 +425,7 @@ def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
     if not isinstance(raw_grid, list) or not raw_grid or not all(map(_is_real, raw_grid)):
         raise ValueError("grid must be a nonempty list of finite numbers")
     p, b = _expect_real(data, "p"), _expect_real(data, "b")
-    return RecordsHeader(tuple(map(float, raw_grid)), p, b, _expect_str(data, "producer"))
+    return RecordsHeader(raw_grid, p, b, _expect_str(data, "producer"))
 
 
 def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:

@@ -38,18 +38,16 @@ _TABLE_HEADINGS = {
 }
 
 
-def round_half_away(value: float, decimals: int = 3) -> str:
-    """Render at fixed decimals, ties away from zero."""
+def round_half_away(value: float) -> str:
+    """Render at 3 decimals, ties away from zero."""
     from decimal import ROUND_HALF_UP, Context, Decimal
 
-    quantum = Decimal(1).scaleb(-decimals)
     # 400 digits hold any finite double at 3 decimals; the default 28 do not.
     wide = Context(prec=400)
-    return str(Decimal(repr(float(value))).quantize(quantum, ROUND_HALF_UP, wide))
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.001"), ROUND_HALF_UP, wide))
 
 
 def level_label(t: float) -> str:
-    t = float(t)
     return str(int(t)) if t.is_integer() else repr(t)
 
 

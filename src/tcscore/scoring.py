@@ -23,6 +23,8 @@ from .records import (
     RuntimeCrash,
     SampleGroup,
     SampleManifest,
+    check_penalties,
+    level_grid,
 )
 
 __all__ = [
@@ -64,21 +66,11 @@ class ScoreConfig:
 
     degradation_penalty: float = 0.1  # p: exponent boost for correct slowdowns
     failure_penalty: float = 0.1  # b: score factor for failed samples
-    grid: tuple[float, ...] = tuple(float(t) for t in range(-10, 5))
+    grid: tuple[float, ...] = tuple(range(-10, 5))
 
     def __post_init__(self) -> None:
-        if not 0 < self.degradation_penalty < 1:
-            raise ValueError(
-                f"degradation_penalty must lie in (0, 1), got {self.degradation_penalty}"
-            )
-        if not 0 < self.failure_penalty < 1:
-            raise ValueError(
-                f"failure_penalty must lie in (0, 1), got {self.failure_penalty}"
-            )
-        if not all(map(math.isfinite, self.grid)):
-            raise ValueError("grid levels must be finite")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly ascending")
+        object.__setattr__(self, "grid", level_grid(self.grid))
+        check_penalties(self.degradation_penalty, self.failure_penalty)
         if not self.grid or self.grid[0] > 0:
             raise ValueError("grid must contain at least one level <= 0")
 
@@ -338,10 +330,10 @@ def join_samples(
 def score_level(
     records: Sequence[RunRecord], t: float, cfg: ScoreConfig
 ) -> CurvePoint:
-    """Classify and score every record at grid level t."""
+    """Classify and score every record at grid level t, reported as the grid holds it."""
     comp = components([classify(record, t, cfg) for record in records], t, cfg)
     score = speedup_score(comp, cfg) if t <= 0 else None
-    return CurvePoint(t, comp, score, error_aware_score(comp, cfg))
+    return CurvePoint(cfg.grid[cfg.grid.index(t)], comp, score, error_aware_score(comp, cfg))
 
 
 def score_curve(

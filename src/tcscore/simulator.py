@@ -32,6 +32,7 @@ from .records import (
     _expect_object,
     _expect_real,
     _expect_str,
+    level_grid,
 )
 from .scoring import ScoreConfig
 from .tolerance import ScalarKind, atol, rtol
@@ -140,8 +141,9 @@ class SimSpec:
             raise ValueError("category_mix must be nonempty")
         if any(w < 0 for w in self.category_mix.values()):
             raise ValueError("category weights must be >= 0")
-        if not sum(self.category_mix.values()) > 0:
-            raise ValueError("category weights must not all be zero")
+        total = sum(self.category_mix.values())
+        if not 0 < total < math.inf:
+            raise ValueError(f"category weights must have a positive, finite sum, got {total}")
         if not self.noise_law:
             raise ValueError("noise_law must be nonempty")
         if any(m < 0 for m in self.noise_law.values()):
@@ -361,7 +363,7 @@ def min_passing_tolerance(
     matches NaN, infinities agree in sign, per component) and then takes
     no part in the check; otherwise its row never passes.
 
-    ``grid`` must be strictly ascending with all levels <= 0. Both
+    ``grid`` must be a nonempty ``level_grid`` with all levels <= 0. Both
     thresholds are nondecreasing in t, so passing is monotone: one
     ascending walk over the levels settles every row, dropping the rows
     that pass at each level.
@@ -374,13 +376,9 @@ def min_passing_tolerance(
         )
     if lhs.shape[-1] == 0:
         raise ValueError("element sequences must be nonempty")
-    levels = [float(t) for t in grid]
-    if not levels:
-        raise ValueError("tolerance grid is empty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("tolerance grid must be strictly ascending")
-    if levels[-1] > 0:
-        raise ValueError("tolerance grid levels must be <= 0")
+    levels = level_grid(grid)
+    if not levels or levels[-1] > 0:
+        raise ValueError("tolerance grid must be nonempty with all levels <= 0")
 
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     matched = _nan_equal(lhs.real, rhs.real) & _nan_equal(lhs.imag, rhs.imag)

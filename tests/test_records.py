@@ -42,8 +42,8 @@ from tcscore.records import (
     _read_json_lines,
     header_to_dict,
 )
-from tcscore.scoring import DEFAULT_CONFIG
-from tcscore.simulator import SimSpec, simulate
+from tcscore.scoring import DEFAULT_CONFIG, ScoreConfig
+from tcscore.simulator import SimSpec, min_passing_tolerance, simulate
 from tcscore.tolerance import ScalarKind
 
 GRID = tuple(float(t) for t in range(-10, 1)) + (1.0, 2.0, 3.0, 4.0)
@@ -421,9 +421,19 @@ def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
     ],
 )
 def test_records_header_refuses_each_rule(grid, p, b, message):
+    assert _refusal(RecordsHeader, grid, p, b, "test") == message
+    if message == "grid must contain level 0":
+        return  # the header's own rule
+    # `ScoreConfig` shares every other rule, in the same order; the tolerance scan, the grid rules.
+    assert _refusal(ScoreConfig, p, b, grid) == message
+    if message.startswith("grid"):
+        assert _refusal(min_passing_tolerance, [[1.0]], [[1.0]], ScalarKind.FLOAT32, grid) == message
+
+
+def _refusal(build, *args):
     with pytest.raises(ValueError) as caught:
-        RecordsHeader(grid, p, b, "test")
-    assert str(caught.value) == message
+        build(*args)
+    return str(caught.value)
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,18 @@ def test_cli_score_outputs_json(tmp_path, capsys):
     assert payload["S"] is None and payload["ES"] > 0
 
 
+def test_levels_are_reported_as_floats_and_zero_never_as_negative(tmp_path, capsys):
+    manifests, records = small_dataset()
+    m_path, r_path = write_dataset(tmp_path, manifests, records)
+    assert main(["score", "--records", r_path, "--t=-0"]) == 0
+    assert capsys.readouterr().out.startswith('{"t": 0.0, ')
+    assert main(["curve", "--records", r_path, "--manifests", m_path, "--grid=-0,1"]) == 0
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()] == ["t", "0.0", "1.0"]
+    curve = score_curve(manifests, records, ScoreConfig(grid=(-1, 0, 2)))
+    assert [repr(point.t) for point in curve.points] == ["-1.0", "0.0", "2.0"]
+    assert repr(RecordsHeader((-1, -0.0), 0.1, 0.1, "test").grid) == "(-1.0, 0.0)"
+
+
 def test_cli_score_empty_records_fails(tmp_path, capsys):
     r_path = tmp_path / "r.jsonl"
     write_records(r_path, HEADER, [])

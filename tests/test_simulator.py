@@ -111,6 +111,23 @@ def test_spec_from_dict_names_unknown_top_level_keys(tmp_path, capsys):
     assert not any(Path(path).exists() for path in out)
 
 
+@pytest.mark.parametrize("weights, total", [({"CV": 1e308, "NLP": 1e308}, "inf"), ({"CV": 0}, "0.0")])
+def test_spec_refuses_category_weights_without_a_positive_finite_sum(tmp_path, capsys, weights, total):
+    message = f"category weights must have a positive, finite sum, got {total}"
+    with pytest.raises(ValueError) as caught:
+        SimSpec.from_dict({"category_mix": weights})
+    assert str(caught.value) == message
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"category_mix": weights}))
+    out = [tmp_path / "m.jsonl", tmp_path / "r.jsonl"]
+    for path in out:
+        path.write_bytes(b"old\n")
+    argv = ["simulate", "--spec", str(spec), "--n", "5", "--manifests", str(out[0]), "--records", str(out[1])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+    assert [path.read_bytes() for path in out] == [b"old\n", b"old\n"]
+
+
 def test_spec_from_dict_refuses_unknown_noise_kinds(tmp_path, capsys):
     # Ingest maps unknown kind names to `other`; a spec must name modelled kinds.
     expected = ", ".join(kind.value for kind in ScalarKind)
