@@ -12,8 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .records import IngestError, jsonl_writer, load_record_ids, load_records, load_sample_groups
-from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_curve, score_level
+from .records import IngestError, jsonl_writer, load_record_ids, load_sample_groups, load_score_rows
+from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_rows
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
         cmd.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
-    cmd = add_command("score", _cmd_score, "Score a records file at a single tolerance level.")
+    cmd = add_command("score", _cmd_scoring, "Score a records file at a single tolerance level.")
     cmd.add_argument("--records", required=True)
     cmd.add_argument("--manifests", default=None, help="optional; enables join validation")
     cmd.add_argument("--t", type=float, default=0.0, help="tolerance level (must be on the grid)")
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", csv_first, "Render the score table (3 decimals, '-' for S at t > 0)."),
         ("violin", json_first, "Per-group log2 speedups of correct samples at level 0."),
     ):
-        cmd = add_command(name, _cmd_render, help_text)
+        cmd = add_command(name, _cmd_scoring, help_text)
         cmd.add_argument("--records", required=True)
         cmd.add_argument("--manifests", required=True)
         add_scoring_flags(cmd)
@@ -137,34 +137,24 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _load_scoring_inputs(args):
-    header, records = load_records(args.records)
-    cfg = _config(args, header)
-    manifests = None if args.manifests is None else load_sample_groups(args.manifests)
-    return manifests, records, cfg
-
-
-def _cmd_score(args) -> int:
-    from .report import level_row
-
-    manifests, records, cfg = _load_scoring_inputs(args)
-    if manifests is not None:
-        join_samples(manifests, records)
-    row = level_row(score_level(records, args.t, cfg))
-    print(json.dumps({key: row[key] for key in _SCORE_KEYS}))
-    return 0
-
-
-def _cmd_render(args) -> int:
-    """Shared handler of ``report``, ``curve`` and ``violin``."""
+def _cmd_scoring(args) -> int:
+    """Shared handler of ``score``, ``curve``, ``report`` and ``violin``: each reads score rows."""
     from . import report
 
-    build, render = {
-        "curve": (score_curve, report.render_curve),
-        "report": (score_curve, report.render_table),
-        "violin": (report.violin_data, report.render_violin),
-    }[args.command]
-    _emit(render(build(*_load_scoring_inputs(args)), args.format), args.out)
+    header, rows = load_score_rows(args.records)
+    cfg = _config(args, header)
+    manifests = None if args.manifests is None else load_sample_groups(args.manifests)
+    if args.command == "violin":
+        _emit(report.render_violin(report.violin_data(manifests, rows, cfg), args.format), args.out)
+        return 0
+    if manifests is not None:
+        join_samples(manifests, rows)
+    if args.command == "score":
+        row = report.level_row(score_rows(rows, cfg, (args.t,)).points[0])
+        print(json.dumps({key: row[key] for key in _SCORE_KEYS}))
+    else:
+        render = report.render_curve if args.command == "curve" else report.render_table
+        _emit(render(score_rows(rows, cfg), args.format), args.out)
     return 0
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "RunRecord",
     "RuntimeCrash",
     "SampleGroup",
+    "ScoreRow",
     "SampleManifest",
     "TaskCategory",
     "TensorComparison",
@@ -42,7 +43,9 @@ __all__ = [
     "load_record_ids",
     "load_records",
     "load_sample_groups",
+    "load_score_rows",
     "read_manifest_lines",
+    "score_row",
     "write_manifests",
     "write_records",
 ]
@@ -120,6 +123,18 @@ class RecordId(NamedTuple):
     sample_id: str
 
 
+class ScoreRow(NamedTuple):
+    """What scoring reads of a record: a completed run (``code`` 0) is
+    correct at level t when ``passing``, its largest min_passing_t (inf if
+    any is null), is <= min(t, 0). A runtime crash is code 2 and a compile
+    failure code 3, with ``passing`` inf and no speedup."""
+
+    sample_id: str
+    code: int
+    passing: float
+    speedup: float | None
+
+
 @dataclass(frozen=True, slots=True)
 class TensorComparison:
     """Per-output comparison summary at the record producer's grid.
@@ -169,6 +184,8 @@ class CompileFailure:
 RunOutcome = Completed | RuntimeCrash | CompileFailure
 _OUTCOMES = {"runtime_crash": RuntimeCrash, "compile_failure": CompileFailure}
 _OUTCOME_KINDS = {outcome: kind for kind, outcome in _OUTCOMES.items()}
+# ``ScoreRow.code`` of each failure kind: ``scoring.ErrorCode``'s values.
+_FAILURE_CODES = {"runtime_crash": 2, "compile_failure": 3}
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,7 +253,10 @@ class RecordsHeader:
 # The grid and penalty rules that the header, ``ScoreConfig`` and the tolerance scan share.
 def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
     """Check a level grid; return its one form, floats with 0 never -0.0 (-0.0 + 0.0 is 0.0)."""
-    grid = tuple([float(t) + 0.0 for t in levels])
+    try:
+        grid = tuple([float(t) + 0.0 for t in levels])
+    except OverflowError:  # an integer beyond float range: not finite either
+        grid = (math.inf,)
     if not all(map(math.isfinite, grid)):
         raise ValueError("grid levels must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -410,6 +430,21 @@ def _build_record(values: tuple) -> RunRecord:
     return RunRecord(sample_id, eager_time_s, outcome, compiled, warmup, timed)
 
 
+def _build_score_row(values: tuple) -> ScoreRow:
+    sample_id, eager_time_s, outcome_kind, detail, compiled = values[:5]
+    if outcome_kind != "completed":
+        return ScoreRow(sample_id, _FAILURE_CODES[outcome_kind], math.inf, None)
+    levels = [t for _, _, t in detail]
+    return ScoreRow(sample_id, 0, math.inf if None in levels else max(levels), eager_time_s / compiled)
+
+
+def score_row(record: RunRecord) -> ScoreRow:
+    """Reduce a record to the ``ScoreRow`` that ``load_score_rows`` builds from its line."""
+    outcome, kind = record.outcome, _OUTCOME_KINDS.get(type(record.outcome), "completed")
+    detail = [(c.tensor_index, c.kind.value, c.min_passing_t) for c in getattr(outcome, "comparisons", ())]
+    return _build_score_row((record.sample_id, record.eager_time_s, kind, detail, record.compiled_time_s))
+
+
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
     return {
         "grid": list(header.grid),
@@ -477,6 +512,11 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
 def load_record_ids(path: str | Path) -> tuple[RecordsHeader, list[RecordId]]:
     """``load_records``, checking every line in full but keeping only each ``RecordId``."""
     return _load_records(Path(path), lambda values: RecordId(values[0]))
+
+
+def load_score_rows(path: str | Path) -> tuple[RecordsHeader, list[ScoreRow]]:
+    """``load_records``, checking every line in full but keeping only each ``ScoreRow``."""
+    return _load_records(Path(path), _build_score_row)
 
 
 _Item = TypeVar("_Item")

@@ -14,8 +14,8 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from .records import RunRecord, SampleGroup, SampleManifest
-from .scoring import CurvePoint, ScoreConfig, ScoreCurve, classify, join_samples
+from .records import RunRecord, SampleGroup, SampleManifest, ScoreRow, score_row
+from .scoring import CurvePoint, ScoreConfig, ScoreCurve, join_samples
 
 if TYPE_CHECKING:
     from .dataset import StatsReport
@@ -106,25 +106,23 @@ def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
 
 def violin_data(
     manifests: Sequence[SampleGroup | SampleManifest],
-    records: Sequence[RunRecord],
+    records: Sequence[ScoreRow | RunRecord],
     cfg: ScoreConfig,
 ) -> dict[tuple[str, str], list[float]]:
     """Per-(framework, task_category) log2 speedups of correct samples.
 
-    Correctness is judged at level 0, which must be on the config grid.
-    Negative values mark compiled runs slower than eager. Erroneous
+    Records are read as ``ScoreRow``s at level 0, which must be on the
+    grid. Negative values mark compiled runs slower than eager. Erroneous
     samples contribute nothing, but every group present in the manifests
     appears, possibly with an empty list.
     """
-    pairs = join_samples(manifests, records)
+    pairs = join_samples(manifests, [r if isinstance(r, ScoreRow) else score_row(r) for r in records])
+    cfg.level(0.0)  # refuses a grid without level 0
     groups: dict[tuple[str, str], list[float]] = {}
-    for manifest, _ in pairs:
-        groups.setdefault((manifest.framework, manifest.task_category.value), [])
-    for manifest, record in pairs:
-        sample = classify(record, 0.0, cfg)
-        if sample.error_code is None:
-            key = (manifest.framework, manifest.task_category.value)
-            groups[key].append(math.log2(sample.speedup))
+    for manifest, row in pairs:
+        logs = groups.setdefault((manifest.framework, manifest.task_category.value), [])
+        if row.code == 0 and row.passing <= 0.0:
+            logs.append(math.log2(row.speedup))
     return dict(sorted(groups.items()))
 
 

@@ -12,17 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Any, Sequence
 
 from .records import (
     CompileFailure,
     Completed,
     IngestError,
+    RecordId,
     RecordsHeader,
     RunRecord,
     RuntimeCrash,
     SampleGroup,
     SampleManifest,
+    ScoreRow,
     check_penalties,
     level_grid,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "rectified_speedup",
     "score_curve",
     "score_level",
+    "score_rows",
     "speedup_score",
 ]
 
@@ -81,6 +84,13 @@ class ScoreConfig:
         if grid[-1] <= 0:
             grid += tuple(t for t in DEFAULT_CONFIG.grid if t > 0)
         return cls(header.p, header.b, grid)
+
+    def level(self, t: float) -> float:
+        """Level t as the grid holds it; a level off the grid is refused."""
+        t = float(t)
+        if t not in self.grid:
+            raise ValueError(f"level {t} is not on the configured grid")
+        return t + 0.0  # the grid's form: equal floats are one float, but for -0.0
 
 
 # The paper's settings: the CLI's defaults, and the positive levels a header lacks.
@@ -149,15 +159,12 @@ def classify(record: RunRecord, t: float, cfg: ScoreConfig) -> ClassifiedSample:
     therefore never reclassifies a sample as correct, it only relaxes the
     penalty applied downstream.
     """
-    t = float(t)
-    if t not in cfg.grid:
-        raise ValueError(f"level {t} is not on the configured grid")
+    cutoff = min(cfg.level(t), 0.0)
     outcome, sample_id = record.outcome, record.sample_id
     if isinstance(outcome, CompileFailure):
         return ClassifiedSample(sample_id, None, ErrorCode.COMPILE_FAILURE)
     if isinstance(outcome, RuntimeCrash):
         return ClassifiedSample(sample_id, None, ErrorCode.RUNTIME_CRASH)
-    cutoff = min(t, 0.0)
     for comparison in outcome.comparisons:
         passing = comparison.min_passing_t
         if passing is None or not passing <= cutoff:
@@ -165,46 +172,20 @@ def classify(record: RunRecord, t: float, cfg: ScoreConfig) -> ClassifiedSample:
     return ClassifiedSample(sample_id, record.eager_time_s / record.compiled_time_s)
 
 
-def components(
-    samples: Sequence[ClassifiedSample], t: float, cfg: ScoreConfig
-) -> ScoreComponents:
-    """Aggregate a classified sample set at level t.
-
-    Geometric means are computed as the exponential of the fsum-compensated
-    mean of logs, so results do not depend on sample order. With no
-    correct samples both means are 1; with no erroneous samples the
-    penalty is 1.
-    """
-    total = len(samples)
-    if total == 0:
-        raise ValueError("no samples")
-    speedups = [s.speedup for s in samples if s.error_code is None]
-    slow = [s for s in speedups if s < 1.0]
-    counts = [0, 0, 0]
-    for sample in samples:
-        if sample.error_code is not None:
-            counts[sample.error_code - 1] += 1
-    correct = len(speedups)
-    errors = total - correct
-    shares = tuple(count / errors for count in counts) if errors else (0.0, 0.0, 0.0)
-    return ScoreComponents(
-        geomean_speedup=_geomean(speedups) if speedups else 1.0,
-        geomean_slowdown=_geomean(slow) if slow else 1.0,
-        correct_fraction=correct / total,
-        slowdown_fraction=len(slow) / correct if correct else 0.0,
-        penalty=gamma(counts, t, cfg),
-        error_shares=shares,
-        total=total,
-        correct=correct,
-        slowdowns=len(slow),
-        errors=errors,
-        errors_by_code=tuple(counts),
-    )
+def components(samples: Sequence[ClassifiedSample], t: float, cfg: ScoreConfig) -> ScoreComponents:
+    """Aggregate a classified sample set at grid level t."""
+    return _sample_point(samples, t, cfg).components
 
 
-def _geomean(values: Iterable[float]) -> float:
-    logs = list(map(math.log, values))
-    return math.exp(math.fsum(logs) / len(logs))
+def _sample_point(samples: Sequence[ClassifiedSample], t: float, cfg: ScoreConfig) -> CurvePoint:
+    """Score samples through ``score_rows``: a correct sample is a row that passes at
+    every level, an erroneous one a row that fails at every level with its code."""
+    rows = [(s.sample_id, s.error_code or 0, -math.inf, s.speedup) for s in samples]
+    return score_rows(rows, cfg, (t,)).points[0]
+
+
+def _geomean(logs: list[float]) -> float:
+    return math.exp(math.fsum(logs) / len(logs)) if logs else 1.0
 
 
 def _score(comp: ScoreComponents, cfg: ScoreConfig, failure_factor: float) -> float:
@@ -304,13 +285,13 @@ class ScoreCurve:
 
 
 def join_samples(
-    manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord]
-) -> list[tuple[SampleGroup | SampleManifest, RunRecord]]:
-    """Pair each record with its manifest; unmatched entries are errors."""
+    manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord | ScoreRow | RecordId]
+) -> list[tuple[SampleGroup | SampleManifest, Any]]:
+    """Pair each record with its manifest by ``sample_id``; unmatched entries are errors."""
     by_id = {m.sample_id: m for m in manifests}
     if len(by_id) != len(manifests):
         raise IngestError("duplicate sample_id among manifests")
-    pairs: list[tuple[SampleGroup | SampleManifest, RunRecord]] = []
+    pairs: list[tuple[SampleGroup | SampleManifest, Any]] = []
     matched: set[str] = set()
     for record in records:
         manifest = by_id.get(record.sample_id)
@@ -327,13 +308,52 @@ def join_samples(
     return pairs
 
 
-def score_level(
-    records: Sequence[RunRecord], t: float, cfg: ScoreConfig
-) -> CurvePoint:
+def score_rows(
+    rows: Sequence[ScoreRow], cfg: ScoreConfig, levels: Sequence[float] | None = None
+) -> ScoreCurve:
+    """Score the rows at each of ``levels`` (by default the grid), reported as the grid holds them.
+
+    A completed row's log speedup goes once into the bucket of its passing
+    level, and its slowdown list if below 1; level t reads the buckets at
+    or below min(t, 0). ``fsum`` over the raw logs is correctly rounded in
+    any order, so the curve is bitwise ``score_curve``'s on the records.
+    With no correct rows both means are 1; with no failed rows gamma is 1.
+    """
+    levels = [cfg.level(t) for t in (cfg.grid if levels is None else levels)]
+    total = len(rows)
+    if total == 0:
+        raise ValueError("no samples")
+    failures = [0, 0, 0, 0]  # rows by nonzero code, which fail at every level
+    buckets: dict[float, tuple[list[float], list[float]]] = {}
+    for _, code, passing, speedup in rows:
+        if code:
+            failures[code] += 1
+        elif passing <= 0.0:
+            logs, slow = buckets.get(passing) or buckets.setdefault(passing, ([], []))
+            logs.append(math.log(speedup))
+            if speedup < 1.0:
+                slow.append(logs[-1])
+    keys = sorted(buckets)
+    points = []
+    for t in levels:
+        read = [buckets[key] for key in keys if key <= min(t, 0.0)]
+        logs = [log for bucket, _ in read for log in bucket]
+        slow = [log for _, bucket in read for log in bucket]
+        correct, errors = len(logs), total - len(logs)
+        counts = (errors - failures[2] - failures[3], failures[2], failures[3])
+        comp = ScoreComponents(
+            _geomean(logs), _geomean(slow), correct / total, len(slow) / correct if correct else 0.0,
+            gamma(counts, t, cfg), tuple(n / errors for n in counts) if errors else (0.0, 0.0, 0.0),
+            total, correct, len(slow), errors, counts,
+        )
+        score = speedup_score(comp, cfg) if t <= 0 else None
+        points.append(CurvePoint(t, comp, score, error_aware_score(comp, cfg)))
+    return ScoreCurve(tuple(points))
+
+
+def score_level(records: Sequence[RunRecord], t: float, cfg: ScoreConfig) -> CurvePoint:
     """Classify and score every record at grid level t, reported as the grid holds it."""
-    comp = components([classify(record, t, cfg) for record in records], t, cfg)
-    score = speedup_score(comp, cfg) if t <= 0 else None
-    return CurvePoint(cfg.grid[cfg.grid.index(t)], comp, score, error_aware_score(comp, cfg))
+    return _sample_point([classify(record, t, cfg) for record in records], t, cfg)
 
 
 def score_curve(
@@ -341,6 +361,6 @@ def score_curve(
     records: Sequence[RunRecord],
     cfg: ScoreConfig,
 ) -> ScoreCurve:
-    """Classify and score the dataset at every grid level."""
+    """Classify and score the dataset at every grid level: the per-sample oracle of ``score_rows``."""
     join_samples(manifests, records)
     return ScoreCurve(tuple(score_level(records, t, cfg) for t in cfg.grid))

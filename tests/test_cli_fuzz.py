@@ -31,8 +31,9 @@ and without its hash audit, and ``dedup_file`` fail with the same error
 as ``load_manifests``, or all load, the groups are the manifests'
 projection, the audit names the ids ``audit_hashes`` names and
 ``dedup_file`` keeps the lines of the manifests ``dedup`` keeps. On
-every corrupted records file, ``load_record_ids`` fails with the same
-error as ``load_records``, or both load the same sample ids.
+every corrupted records file, ``load_record_ids`` and
+``load_score_rows`` fail with the same error as ``load_records``, or all
+load, with the same sample ids and the records' ``score_row``s.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ from tcscore.records import (
     load_record_ids,
     load_records,
     load_sample_groups,
+    load_score_rows,
+    score_row,
 )
 
 N_SAMPLES = 12
@@ -414,3 +417,18 @@ def test_record_ids_load_what_records_load(dataset, data):
     else:
         assert ids[0] == loaded[0]
         assert [r.sample_id for r in ids[1]] == [r.sample_id for r in loaded[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_score_rows_load_what_records_load(dataset, data):
+    lines = data.draw(corrupted({"r.jsonl": dataset["r.jsonl"]}))["r.jsonl"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = _load_or_error(load_records, path)
+        rows = _load_or_error(load_score_rows, path)
+    if isinstance(loaded, str):
+        assert rows == loaded
+    else:
+        assert rows == (loaded[0], [score_row(record) for record in loaded[1]])

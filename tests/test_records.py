@@ -418,6 +418,7 @@ def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
         # Rules apply in order: ascending, then penalties, then level 0.
         ((1.0, -1.0), 2.0, 0.1, "grid must be strictly ascending"),
         ((-2.0, -1.0), 2.0, 0.1, "penalties p and b must lie in (0, 1)"),
+        ((0, 10**400), 0.1, 0.1, "grid levels must be finite"),  # no float holds it
     ],
 )
 def test_records_header_refuses_each_rule(grid, p, b, message):

@@ -319,10 +319,29 @@ def test_cli_json_too_deep_or_too_long_is_a_data_error(tmp_path, capsys, command
 
 def test_cli_score_off_grid_level_fails(tmp_path, capsys):
     manifests, records = small_dataset()
-    _, r_path = write_dataset(tmp_path, manifests, records)
+    m_path, r_path = write_dataset(tmp_path, manifests, records)
     code = main(["score", "--records", r_path, "--t", "0.5"])
     assert code == 1
-    assert "grid" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: level 0.5 is not on the configured grid\n")
+    assert main(["violin", "--records", r_path, "--manifests", m_path, "--grid=-1"]) == 1
+    assert capsys.readouterr() == ("", "error: level 0.0 is not on the configured grid\n")
+
+
+@pytest.mark.parametrize("command", ["score", "curve", "report", "violin"])
+def test_cli_scoring_commands_refuse_unjoined_files(tmp_path, capsys, command):
+    manifests, records = small_dataset()
+    m_path, _ = write_dataset(tmp_path, manifests, records)
+    short, stray = tmp_path / "short.jsonl", tmp_path / "stray.jsonl"
+    write_records(short, HEADER, records[:3])
+    write_records(stray, HEADER, [*records, completed("z", 1.0, 1.0)])
+    # The join is checked before any level is read, off the grid or not.
+    for r_path, grid, message in (
+        (short, "-1", "1 manifests without records: 'd'"),
+        (stray, "-1,0", "record 'z' has no manifest"),
+    ):
+        argv = [command, "--records", str(r_path), "--manifests", m_path, f"--grid={grid}"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_grid_levels_must_be_measured_and_ascending(tmp_path, capsys):

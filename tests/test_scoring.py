@@ -15,8 +15,12 @@ from tcscore.records import (
     IngestError,
     RunRecord,
     RuntimeCrash,
+    SampleManifest,
+    TaskCategory,
     TensorComparison,
+    score_row,
 )
+from tcscore.report import violin_data
 from tcscore.scoring import (
     ClassifiedSample,
     ErrorCode,
@@ -32,8 +36,10 @@ from tcscore.scoring import (
     join_samples,
     rectified_speedup,
     score_curve,
+    score_rows,
     speedup_score,
 )
+from tcscore.simulator import Log2NormalLaw, SimSpec, simulate
 from tcscore.tolerance import ScalarKind
 
 CFG = ScoreConfig()
@@ -73,6 +79,8 @@ def test_config_validation():
         ScoreConfig(grid=(1.0, 0.0))
     with pytest.raises(ValueError, match="finite"):
         ScoreConfig(grid=(-1.0, math.nan, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        ScoreConfig(grid=(-1, 10**400))  # an integer no float holds
 
 
 def test_score_curve_refuses_no_points():
@@ -402,3 +410,76 @@ def test_lambda_monotone_on_negative_grid():
     curve = score_curve(manifests, records, CFG)
     fractions = [p.components.correct_fraction for p in curve.points if p.t <= 0]
     assert fractions == sorted(fractions)
+
+
+# -- score_rows: the CLI's route, held to score_curve --------------------------
+
+
+def test_score_rows_refuses_off_grid_levels_and_no_rows():
+    rows = [score_row(completed_record())]
+    with pytest.raises(ValueError, match="level 0.5 is not on the configured grid"):
+        score_rows(rows, CFG, (0.0, 0.5))
+    with pytest.raises(ValueError, match="no samples"):
+        score_rows([], CFG)
+    with pytest.raises(ValueError, match="level -0.5 is not on the configured grid"):
+        components([correct(2.0)], -0.5, CFG)  # through score_rows, so on the grid only
+    point = score_rows(rows, CFG, (-0.0,)).points[0]
+    zero = score_curve(*make_pairs([completed_record()]), CFG).points[CFG.grid.index(0.0)]
+    assert repr(point.t) == "0.0" and point == zero
+
+
+@st.composite
+def scored_datasets(draw):
+    """A simulated dataset plus hand-made edge records, and a config on a subset of its grid."""
+    spec = SimSpec(
+        seed=draw(st.integers(0, 2**32)),
+        n_samples=draw(st.integers(1, 120)),
+        speedup_law=Log2NormalLaw(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 1.5))),
+        noise_law=draw(st.dictionaries(
+            st.sampled_from(list(ScalarKind)), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1]), min_size=1
+        )),
+    )
+    manifests, records = simulate(spec, CFG)
+    levels = st.one_of(st.none(), st.sampled_from([t for t in CFG.grid if t <= 0]))
+    # Speedups of exactly 1, and comparisons that are all null.
+    for i, passing in enumerate(draw(st.lists(st.lists(levels, min_size=1, max_size=3), max_size=6))):
+        eager = draw(st.sampled_from([1.0, 0.5, 3.0]))
+        records.append(completed_record(f"edge{i}", passing, eager, eager))
+        manifests.append(SampleManifest(f"edge{i}", "edge", TaskCategory.OTHER, 1, "ab"))
+    for i in range(draw(st.integers(0, 2))):
+        records.append(completed_record(f"null{i}", (None, None), 2.0, 1.0))
+        manifests.append(SampleManifest(f"null{i}", "edge", TaskCategory.CV, 1, "ab"))
+    grid = draw(st.lists(st.sampled_from(CFG.grid), min_size=1, unique=True).filter(
+        lambda g: min(g) <= 0
+    ))
+    p, b = (draw(st.floats(0.01, 0.99)) for _ in range(2))
+    return manifests, records, ScoreConfig(p, b, tuple(sorted(grid)))
+
+
+@given(scored_datasets())
+@settings(max_examples=40, deadline=None)
+def test_score_rows_is_bitwise_score_curve(dataset):
+    manifests, records, cfg = dataset
+    rows = [score_row(record) for record in records]
+    curve = score_rows(rows, cfg)
+    assert curve == score_curve(manifests, records, cfg)
+    # Both routes share the aggregate: hold its counts to ``classify`` directly.
+    for point in curve.points:
+        samples = [classify(record, point.t, cfg) for record in records]
+        speedups = [s.speedup for s in samples if s.is_correct]
+        comp = point.components
+        assert (comp.correct, comp.slowdowns) == (len(speedups), sum(s < 1.0 for s in speedups))
+        assert comp.errors_by_code == tuple(sum(s.error_code is code for s in samples) for code in ErrorCode)
+    if 0.0 in cfg.grid:
+        groups: dict = {}
+        for manifest, record in zip(manifests, records):
+            logs = groups.setdefault((manifest.framework, manifest.task_category.value), [])
+            sample = classify(record, 0.0, cfg)
+            if sample.is_correct:
+                logs.append(math.log2(sample.speedup))
+        assert violin_data(manifests, rows, cfg) == dict(sorted(groups.items()))
+        assert violin_data(manifests, records, cfg) == dict(sorted(groups.items()))
+    else:
+        for route in (rows, records):
+            with pytest.raises(ValueError, match="level 0.0 is not on the configured grid"):
+                violin_data(manifests, route, cfg)
