@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .records import IngestError, jsonl_writer, load_record_ids, load_sample_groups, load_score_rows
+from .records import IngestError, jsonl_writer, load_sample_groups, load_score_rows
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_rows
 
 __all__ = ["build_parser", "main", "run"]
@@ -218,7 +218,7 @@ def _cmd_validate(args) -> int:
             )
     records = None
     if args.records is not None:
-        _, records = load_record_ids(args.records)
+        _, records = load_score_rows(args.records)
     if manifests is not None and records is not None:
         join_samples(manifests, records)
     parts = []

@@ -28,7 +28,6 @@ __all__ = [
     "CompileFailure",
     "Completed",
     "IngestError",
-    "RecordId",
     "RecordsHeader",
     "RunOutcome",
     "RunRecord",
@@ -40,7 +39,6 @@ __all__ = [
     "TensorComparison",
     "jsonl_writer",
     "load_manifests",
-    "load_record_ids",
     "load_records",
     "load_sample_groups",
     "load_score_rows",
@@ -91,20 +89,18 @@ class SampleManifest:
     source_digest_inputs: HashInput | None = None
 
     def __post_init__(self) -> None:
-        _manifest_rules(self.sample_id, self.operator_count, self.parameter_count, self.graph_hash)
+        _manifest_rules(self)
 
 
-# Each model type's value rules, called by its ``__post_init__`` and by ingest's checker.
-def _manifest_rules(
-    sample_id: str, operator_count: int, parameter_count: int | None, graph_hash: str
-) -> None:
-    if not sample_id:
+# Each model type's value rules, called by its ``__post_init__`` and on ingest's checked line.
+def _manifest_rules(manifest: SampleManifest | CheckedManifest) -> None:
+    if not manifest.sample_id:
         raise ValueError("sample_id must be nonempty")
-    if operator_count < 1:
-        raise ValueError(f"operator_count must be >= 1, got {operator_count}")
-    if parameter_count is not None and parameter_count < 0:
-        raise ValueError(f"parameter_count must be >= 0, got {parameter_count}")
-    if not _HEX_DIGEST.match(graph_hash):
+    if manifest.operator_count < 1:
+        raise ValueError(f"operator_count must be >= 1, got {manifest.operator_count}")
+    if manifest.parameter_count is not None and manifest.parameter_count < 0:
+        raise ValueError(f"parameter_count must be >= 0, got {manifest.parameter_count}")
+    if not _HEX_DIGEST.match(manifest.graph_hash):
         raise ValueError("graph_hash must be a nonempty hex digest")
 
 
@@ -115,12 +111,6 @@ class SampleGroup(NamedTuple):
     framework: str
     task_category: TaskCategory
     operator_count: int
-
-
-class RecordId(NamedTuple):
-    """The one record field ``join_samples`` reads."""
-
-    sample_id: str
 
 
 class ScoreRow(NamedTuple):
@@ -200,37 +190,32 @@ class RunRecord:
     timed_iters: int = 1
 
     def __post_init__(self) -> None:
-        _record_rules(
-            self.sample_id, self.eager_time_s, isinstance(self.outcome, Completed),
-            self.compiled_time_s, self.warmup_iters, self.timed_iters,
-        )
+        _record_rules(self, isinstance(self.outcome, Completed))
 
 
-def _record_rules(
-    sample_id: str, eager_time_s: float, completed: bool,
-    compiled_time_s: float | None, warmup_iters: int, timed_iters: int,
-) -> None:
-    if not sample_id:
+def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
+    eager, compiled = record.eager_time_s, record.compiled_time_s
+    if not record.sample_id:
         raise ValueError("sample_id must be nonempty")
-    if not eager_time_s > 0:
-        raise ValueError(f"eager_time_s must be positive, got {eager_time_s}")
-    if completed and compiled_time_s is None:
+    if not eager > 0:
+        raise ValueError(f"eager_time_s must be positive, got {eager}")
+    if completed and compiled is None:
         raise ValueError("completed record requires compiled_time_s")
-    if not completed and compiled_time_s is not None:
+    if not completed and compiled is not None:
         raise ValueError("compiled_time_s is only valid for completed records")
-    if compiled_time_s is not None:
-        if not compiled_time_s > 0:
-            raise ValueError(f"compiled_time_s must be positive, got {compiled_time_s}")
-        speedup = eager_time_s / compiled_time_s
+    if compiled is not None:
+        if not compiled > 0:
+            raise ValueError(f"compiled_time_s must be positive, got {compiled}")
+        speedup = eager / compiled
         if not 0 < speedup <= sys.float_info.max:
             raise ValueError(
                 "speedup eager_time_s / compiled_time_s must be finite and"
                 f" positive, got {speedup}"
             )
-    if warmup_iters < 0:
-        raise ValueError(f"warmup_iters must be >= 0, got {warmup_iters}")
-    if timed_iters < 1:
-        raise ValueError(f"timed_iters must be >= 1, got {timed_iters}")
+    if record.warmup_iters < 0:
+        raise ValueError(f"warmup_iters must be >= 0, got {record.warmup_iters}")
+    if record.timed_iters < 1:
+        raise ValueError(f"timed_iters must be >= 1, got {record.timed_iters}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,16 +276,21 @@ def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
     return data
 
 
-def manifest_from_dict(data: Mapping[str, Any]) -> SampleManifest:
-    return _build_manifest(_check_manifest(data))
+class CheckedManifest(NamedTuple):
+    """A manifest line's checked JSON values, named as ``SampleManifest``'s fields."""
+
+    sample_id: str
+    framework: str
+    task_category: TaskCategory
+    operator_count: int
+    graph_hash: str
+    dtypes: list[str]
+    parameter_count: int | None
+    source_digest_inputs: Mapping[str, Any] | None
 
 
-def _check_manifest(data: Mapping[str, Any]) -> tuple:
-    """Run every check of a manifest line, in a fixed order; return the checked values.
-
-    They are ``SampleGroup``'s four fields, graph_hash, the dtype names,
-    parameter_count and the ``source_digest_inputs`` object or None.
-    """
+def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
+    """Run every check of a manifest line, in a fixed order; return the checked values."""
     dtypes = data.get("dtypes", [])
     if not isinstance(dtypes, list) or not all(isinstance(v, str) for v in dtypes):
         raise ValueError("dtypes must be a list of kind names")
@@ -312,7 +302,7 @@ def _check_manifest(data: Mapping[str, Any]) -> tuple:
         digest_inputs = _expect_object(data, "source_digest_inputs")
         _expect_str(digest_inputs, "normalized_source")
         _check_topology(digest_inputs.get("topology"))
-    values = (
+    checked = CheckedManifest(
         _expect_str(data, "sample_id"),
         _expect_str(data, "framework"),
         TaskCategory.from_name(_expect_str(data, "task_category")),
@@ -320,18 +310,18 @@ def _check_manifest(data: Mapping[str, Any]) -> tuple:
         _expect_str(data, "graph_hash"),
         dtypes, parameter_count, digest_inputs,
     )
-    _manifest_rules(values[0], values[3], parameter_count, values[4])
-    return values
+    _manifest_rules(checked)
+    return checked
 
 
-def _build_manifest(values: tuple) -> SampleManifest:
-    sample_id, framework, category, operator_count, graph_hash, dtypes, parameters, digest = values
+def _build_manifest(m: CheckedManifest) -> SampleManifest:
+    digest = m.source_digest_inputs
     if digest is not None:
         source, topology = digest["normalized_source"], digest["topology"]
         digest = HashInput(normalize_source(source), _freeze_topology(topology))
-    dtypes = frozenset(map(ScalarKind.from_name, dtypes))
     return SampleManifest(
-        sample_id, framework, category, operator_count, graph_hash, dtypes, parameters, digest
+        m.sample_id, m.framework, m.task_category, m.operator_count, m.graph_hash,
+        frozenset(map(ScalarKind.from_name, m.dtypes)), m.parameter_count, digest,
     )
 
 
@@ -363,19 +353,26 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
     return data
 
 
-def record_from_dict(
-    data: Mapping[str, Any], grid: frozenset[float] | None = None
-) -> RunRecord:
-    """Parse one record; with ``grid`` given, min_passing_t must be one of its levels."""
-    return _build_record(_check_record(data, grid))
+class CheckedRecord(NamedTuple):
+    """A record line's checked JSON values, named as ``RunRecord``'s fields.
+
+    The outcome is its kind and ``detail``: the ``(tensor_index, kind
+    name, min_passing_t)`` comparisons of a completed run, else its message.
+    """
+
+    sample_id: str
+    eager_time_s: float
+    outcome_kind: str
+    detail: list[tuple[int, str, float | None]] | str
+    compiled_time_s: float | None
+    warmup_iters: int
+    timed_iters: int
 
 
-def _check_record(data: Mapping[str, Any], grid: frozenset[float] | None) -> tuple:
+def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRecord:
     """Run every check of a record line, in a fixed order; return the checked values.
 
-    They are sample_id, eager_time_s, the outcome kind, its ``(tensor_index,
-    kind name, min_passing_t)`` comparisons or its message,
-    compiled_time_s, warmup_iters and timed_iters.
+    Each min_passing_t must be one of the ``grid`` levels.
     """
     raw_outcome = _expect_object(data, "outcome")
     outcome_kind = _expect_str(raw_outcome, "kind")
@@ -392,24 +389,24 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float] | None) -> tup
     compiled = data.get("compiled_time_s")
     if compiled is not None:
         compiled = _expect_real(data, "compiled_time_s")
-    values = (
+    checked = CheckedRecord(
         _expect_str(data, "sample_id"),
         _expect_real(data, "eager_time_s"),
         outcome_kind, detail, compiled,
         _expect_int(data, "warmup_iters"),
         _expect_int(data, "timed_iters"),
     )
-    _record_rules(values[0], values[1], outcome_kind == "completed", *values[4:])
-    return values
+    _record_rules(checked, outcome_kind == "completed")
+    return checked
 
 
-def _check_comparison(data: Any, grid: frozenset[float] | None) -> tuple:
+def _check_comparison(data: Any, grid: frozenset[float]) -> tuple[int, str, float | None]:
     if type(data) is not dict:
         raise ValueError("comparison entries must be objects")
     level = data.get("min_passing_t")
     if level is not None:
         level = _expect_real(data, "min_passing_t")
-        if grid is not None and level not in grid:
+        if level not in grid:
             raise ValueError(
                 f"min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
             )
@@ -419,30 +416,35 @@ def _check_comparison(data: Any, grid: frozenset[float] | None) -> tuple:
     return tensor_index, kind, level
 
 
-def _build_record(values: tuple) -> RunRecord:
-    sample_id, eager_time_s, outcome_kind, detail, compiled, warmup, timed = values
-    if outcome_kind == "completed":
+def _build_record(r: CheckedRecord) -> RunRecord:
+    if r.outcome_kind == "completed":
         outcome = Completed(
-            tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in detail])
+            tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in r.detail])
         )
     else:
-        outcome = _OUTCOMES[outcome_kind](detail)
-    return RunRecord(sample_id, eager_time_s, outcome, compiled, warmup, timed)
+        outcome = _OUTCOMES[r.outcome_kind](r.detail)
+    return RunRecord(r.sample_id, r.eager_time_s, outcome, r.compiled_time_s, r.warmup_iters, r.timed_iters)
 
 
-def _build_score_row(values: tuple) -> ScoreRow:
-    sample_id, eager_time_s, outcome_kind, detail, compiled = values[:5]
-    if outcome_kind != "completed":
-        return ScoreRow(sample_id, _FAILURE_CODES[outcome_kind], math.inf, None)
-    levels = [t for _, _, t in detail]
-    return ScoreRow(sample_id, 0, math.inf if None in levels else max(levels), eager_time_s / compiled)
+def _build_score_row(r: CheckedRecord) -> ScoreRow:
+    if r.outcome_kind != "completed":
+        return ScoreRow(r.sample_id, _FAILURE_CODES[r.outcome_kind], math.inf, None)
+    levels = [t for _, _, t in r.detail]
+    passing = math.inf if None in levels else max(levels)
+    return ScoreRow(r.sample_id, 0, passing, r.eager_time_s / r.compiled_time_s)
 
 
 def score_row(record: RunRecord) -> ScoreRow:
     """Reduce a record to the ``ScoreRow`` that ``load_score_rows`` builds from its line."""
-    outcome, kind = record.outcome, _OUTCOME_KINDS.get(type(record.outcome), "completed")
-    detail = [(c.tensor_index, c.kind.value, c.min_passing_t) for c in getattr(outcome, "comparisons", ())]
-    return _build_score_row((record.sample_id, record.eager_time_s, kind, detail, record.compiled_time_s))
+    outcome = record.outcome
+    kind = _OUTCOME_KINDS.get(type(outcome), "completed")
+    detail = outcome.message if kind != "completed" else [
+        (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
+    ]
+    return _build_score_row(CheckedRecord(
+        record.sample_id, record.eager_time_s, kind, detail,
+        record.compiled_time_s, record.warmup_iters, record.timed_iters,
+    ))
 
 
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
@@ -469,7 +471,7 @@ def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     Every line is checked in full, as ``load_manifests`` checks it, with
     the same errors, raised when the bad line is reached.
     """
-    return _ingest_manifests(Path(path), lambda values: values[4])
+    return _ingest_manifests(Path(path), lambda checked: checked.graph_hash)
 
 
 def load_manifests(path: str | Path) -> list[SampleManifest]:
@@ -487,14 +489,14 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
     stored graph_hash, in either case, is appended to it in file order.
     """
 
-    def build(values: tuple) -> SampleGroup:
-        digest = values[7]
+    def build(m: CheckedManifest) -> SampleGroup:
+        digest = m.source_digest_inputs
         if mismatched is not None and digest is not None:
             # Checked JSON lists encode as the tuples ``_build_manifest`` freezes.
             inputs = HashInput(normalize_source(digest["normalized_source"]), digest["topology"])
-            if graph_hash(inputs) != values[4].lower():
-                mismatched.append(values[0])
-        return SampleGroup(*values[:4])
+            if graph_hash(inputs) != m.graph_hash.lower():
+                mismatched.append(m.sample_id)
+        return SampleGroup(m.sample_id, m.framework, m.task_category, m.operator_count)
 
     return [group for _, group in _ingest_manifests(Path(path), build)]
 
@@ -509,20 +511,16 @@ def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
     return _load_records(Path(path), _build_record)
 
 
-def load_record_ids(path: str | Path) -> tuple[RecordsHeader, list[RecordId]]:
-    """``load_records``, checking every line in full but keeping only each ``RecordId``."""
-    return _load_records(Path(path), lambda values: RecordId(values[0]))
-
-
 def load_score_rows(path: str | Path) -> tuple[RecordsHeader, list[ScoreRow]]:
     """``load_records``, checking every line in full but keeping only each ``ScoreRow``."""
     return _load_records(Path(path), _build_score_row)
 
 
 _Item = TypeVar("_Item")
+_Checked = TypeVar("_Checked", CheckedManifest, CheckedRecord)
 
 
-def _load_records(path: Path, build: Callable[[tuple], _Item]) -> tuple[RecordsHeader, list[_Item]]:
+def _load_records(path: Path, build: Callable[[CheckedRecord], _Item]) -> tuple[RecordsHeader, list[_Item]]:
     lines = _read_json_lines(path)
     for lineno, _, obj in lines:
         try:
@@ -597,37 +595,39 @@ _encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_cir
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _ingest_manifests(path: Path, build: Callable[[tuple], _Item]) -> Iterator[tuple[str, _Item]]:
+def _ingest_manifests(
+    path: Path, build: Callable[[CheckedManifest], _Item]
+) -> Iterator[tuple[str, _Item]]:
     return _ingest(path, _read_json_lines(path), _check_manifest, build, "no manifests")
 
 
 def _ingest(
     path: Path,
     lines: Iterator[tuple[int, str, dict[str, Any]]],
-    check: Callable[[dict[str, Any]], tuple],
-    build: Callable[[tuple], _Item],
+    check: Callable[[dict[str, Any]], _Checked],
+    build: Callable[[_Checked], _Item],
     empty: str,
 ) -> Iterator[tuple[str, _Item]]:
     """Check every remaining line, yielding its text and what ``build`` keeps of it.
 
-    ``check`` runs all of a line's checks and returns its checked values,
-    the sample id first; ``build`` runs only on values that passed, so it
-    cannot fail. Sample ids must be unique, and a file with no line left
-    raises ``empty``: scores are means over a nonempty sample set.
+    ``check`` runs all of a line's checks and returns its checked values;
+    ``build`` runs only on values that passed, so it cannot fail. Sample
+    ids must be unique, and a file with no line left raises ``empty``:
+    scores are means over a nonempty sample set.
     """
     first_seen: dict[str, int] = {}
     for lineno, text, obj in lines:
         try:
-            values = check(obj)
+            checked = check(obj)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        duplicate = first_seen.setdefault(values[0], lineno)
+        duplicate = first_seen.setdefault(checked.sample_id, lineno)
         if duplicate != lineno:
             raise IngestError(
-                f"{path}:{lineno}: duplicate sample_id {values[0]!r}"
+                f"{path}:{lineno}: duplicate sample_id {checked.sample_id!r}"
                 f" (first seen at line {duplicate})"
             )
-        yield text, build(values)
+        yield text, build(checked)
     if not first_seen:
         raise IngestError(f"{path}: {empty}")
 

@@ -203,12 +203,12 @@ def _csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
     return buffer.getvalue()
 
 
+# A `|` would split a Markdown cell, and a line break would end its row.
+_MD_ESCAPES = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
+
+
 def _md(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_plain(row[column]) for column in columns) + " |")
-    return "\n".join(lines) + "\n"
+    lines = [columns, ["---"] * len(columns)]
+    lines += ([_plain(row[c]).replace("\r\n", "\n").translate(_MD_ESCAPES) for c in columns] for row in rows)
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 

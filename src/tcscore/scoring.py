@@ -18,7 +18,6 @@ from .records import (
     CompileFailure,
     Completed,
     IngestError,
-    RecordId,
     RecordsHeader,
     RunRecord,
     RuntimeCrash,
@@ -285,7 +284,7 @@ class ScoreCurve:
 
 
 def join_samples(
-    manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord | ScoreRow | RecordId]
+    manifests: Sequence[SampleGroup | SampleManifest], records: Sequence[RunRecord | ScoreRow]
 ) -> list[tuple[SampleGroup | SampleManifest, Any]]:
     """Pair each record with its manifest by ``sample_id``; unmatched entries are errors."""
     by_id = {m.sample_id: m for m in manifests}

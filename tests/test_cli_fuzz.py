@@ -31,9 +31,9 @@ and without its hash audit, and ``dedup_file`` fail with the same error
 as ``load_manifests``, or all load, the groups are the manifests'
 projection, the audit names the ids ``audit_hashes`` names and
 ``dedup_file`` keeps the lines of the manifests ``dedup`` keeps. On
-every corrupted records file, ``load_record_ids`` and
-``load_score_rows`` fail with the same error as ``load_records``, or all
-load, with the same sample ids and the records' ``score_row``s.
+every corrupted records file, ``load_score_rows`` fails with the same
+error as ``load_records``, or both load, the rows being the records'
+``score_row``s, sample ids included.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from tcscore.records import (
     SampleGroup,
     TaskCategory,
     load_manifests,
-    load_record_ids,
     load_records,
     load_sample_groups,
     load_score_rows,
@@ -401,22 +400,6 @@ def test_sample_groups_load_what_manifests_load(dataset, data):
         assert counts == (len(kept), len(dropped))
         line_of = {json.loads(line)["sample_id"]: line.strip() for line in lines}
         assert kept_lines == [line_of[m.sample_id] for m in kept]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_record_ids_load_what_records_load(dataset, data):
-    lines = data.draw(corrupted({"r.jsonl": dataset["r.jsonl"]}))["r.jsonl"]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "r.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        loaded = _load_or_error(load_records, path)
-        ids = _load_or_error(load_record_ids, path)
-    if isinstance(loaded, str):
-        assert ids == loaded
-    else:
-        assert ids[0] == loaded[0]
-        assert [r.sample_id for r in ids[1]] == [r.sample_id for r in loaded[1]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,13 +27,11 @@ from tcscore.records import (
     TaskCategory,
     TensorComparison,
     load_manifests,
-    load_record_ids,
     load_records,
     load_sample_groups,
-    manifest_from_dict,
+    load_score_rows,
     manifest_to_dict,
     read_manifest_lines,
-    record_from_dict,
     record_to_dict,
     write_manifests,
     write_records,
@@ -50,12 +48,15 @@ GRID = tuple(float(t) for t in range(-10, 1)) + (1.0, 2.0, 3.0, 4.0)
 HEADER = RecordsHeader(grid=GRID, p=0.1, b=0.1, producer="test")
 
 
-def roundtrip(value: SampleManifest | RunRecord) -> SampleManifest | RunRecord:
-    """Serialize a manifest or record to JSON text and parse it back."""
+def roundtrip(value: SampleManifest | RunRecord, directory) -> SampleManifest | RunRecord:
+    """Write a manifest, or a record under ``HEADER``, to a file in ``directory`` and load it back."""
+    path = directory / "roundtrip.jsonl"
     if isinstance(value, SampleManifest):
-        return manifest_from_dict(json.loads(json.dumps(manifest_to_dict(value))))
+        write_manifests(path, [value])
+        return load_manifests(path)[0]
     if isinstance(value, RunRecord):
-        return record_from_dict(json.loads(json.dumps(record_to_dict(value))))
+        write_records(path, HEADER, [value])
+        return load_records(path)[1][0]
     raise TypeError(f"cannot round-trip values of type {type(value).__name__}")
 
 
@@ -131,9 +132,9 @@ def test_load_manifests_empty_file(tmp_path):
         (lambda path: load_sample_groups(path, []), "", "no manifests"),
         (lambda path: list(read_manifest_lines(path)), "", "no manifests"),
         (load_records, json.dumps(header_to_dict(HEADER)) + "\n", "no records after the header"),
-        (load_record_ids, json.dumps(header_to_dict(HEADER)) + "\n", "no records after the header"),
+        (load_score_rows, json.dumps(header_to_dict(HEADER)) + "\n", "no records after the header"),
     ],
-    ids=["manifests", "groups", "groups-audited", "manifest-lines", "records", "record-ids"],
+    ids=["manifests", "groups", "groups-audited", "manifest-lines", "records", "score-rows"],
 )
 def test_every_loader_refuses_an_empty_body_as_the_cli_does(tmp_path, capsys, load, body, message):
     path = tmp_path / "in.jsonl"
@@ -474,20 +475,20 @@ def _record_lines(records):
     return [json.dumps(record_to_dict(r)) for r in records]
 
 
-def test_roundtrip_examples():
+def test_roundtrip_examples(tmp_path):
     manifest = make_manifest(
         source_digest_inputs=HashInput.from_source("x = a + b  # sum", [("add", (0, 1))]),
         parameter_count=1000,
     )
-    assert roundtrip(manifest) == manifest
+    assert roundtrip(manifest, tmp_path) == manifest
     never = make_record(levels=(None,))
-    assert roundtrip(never) == never
+    assert roundtrip(never, tmp_path) == never
     unicode_failure = make_record(
         outcome=CompileFailure("päss ✓ 中文"), compiled_time_s=None
     )
-    assert roundtrip(unicode_failure) == unicode_failure
+    assert roundtrip(unicode_failure, tmp_path) == unicode_failure
     with pytest.raises(TypeError):
-        roundtrip(42)
+        roundtrip(42, tmp_path)
 
 
 # -- randomized round-trip ---------------------------------------------------
@@ -556,14 +557,14 @@ failed = st.builds(
 
 @given(manifests)
 @settings(max_examples=150)
-def test_manifest_roundtrip_identity(manifest):
-    assert roundtrip(manifest) == manifest
+def test_manifest_roundtrip_identity(tmp_path_factory, manifest):
+    assert roundtrip(manifest, tmp_path_factory.mktemp("rt")) == manifest
 
 
 @given(completed | failed)
 @settings(max_examples=150)
-def test_record_roundtrip_identity(record):
-    assert roundtrip(record) == record
+def test_record_roundtrip_identity(tmp_path_factory, record):
+    assert roundtrip(record, tmp_path_factory.mktemp("rt")) == record
 
 
 @given(st.lists(completed | failed, max_size=10))

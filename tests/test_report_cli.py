@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,26 @@ def test_render_violin_formats():
     lines = render_violin(groups, "csv").splitlines()
     assert lines[0] == "framework,task_category,log2_speedups"
     assert lines[2] == "torch,NLP,"
+
+
+@pytest.mark.parametrize(
+    "framework, cell",
+    [("torch|2.1", r"torch\|2.1"), ("a\nb", "a<br>b"), ("c\r\nd|", r"c<br>d\|"), ("e\rf", "e<br>f")],
+    ids=["pipe", "lf", "crlf-pipe", "cr"],
+)
+def test_cli_violin_md_rows_keep_their_columns(tmp_path, capsys, framework, cell):
+    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
+    assert main(["simulate", "--seed", "1", "--n", "5", "--manifests", str(m_path), "--records", str(r_path)]) == 0
+    lines = [json.loads(line) for line in m_path.read_text().splitlines()]
+    lines[0]["framework"] = framework
+    m_path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    capsys.readouterr()
+    assert main(["violin", "--records", str(r_path), "--manifests", str(m_path), "--format", "md"]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows.pop() == ""
+    unescaped = re.compile(r"(?<!\\)\|")
+    assert [len(unescaped.findall(row)) for row in rows] == [4] * len(rows)
+    assert any(row.startswith(f"| {cell} | ") for row in rows)
 
 
 def test_render_stats_shapes():
