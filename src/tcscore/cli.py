@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .records import IngestError, jsonl_writer, load_sample_groups, load_score_rows
+from .records import IngestError, file_writer, load_sample_groups, load_score_rows
 from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_rows
 
 __all__ = ["build_parser", "main", "run"]
@@ -88,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "validate" and args.manifests is None and args.records is None:
+        parser.error("nothing to validate: pass --manifests and/or --records")
     try:
         return args.func(args)
     except (IngestError, ValueError, OSError) as exc:
@@ -134,7 +137,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with file_writer(out) as write:
+            write(text)
 
 
 def _cmd_scoring(args) -> int:
@@ -175,6 +179,7 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .records import _encode_line, header_to_dict, manifest_to_dict, record_to_dict
     from .simulator import SimSpec, records_header, simulate_blocks
 
     if Path(args.manifests).resolve() == Path(args.records).resolve():
@@ -190,12 +195,14 @@ def _cmd_simulate(args) -> int:
     if args.n is not None:
         spec = replace(spec, n_samples=args.n)
     cfg = _config(args)
-    # Write each block and drop it: memory stays one block whatever the count.
-    header = records_header(spec, cfg)
-    with jsonl_writer(args.manifests) as put_manifests, jsonl_writer(args.records, header) as put_records:
+    # Write each block's lines and drop it: memory stays one block whatever the count.
+    with file_writer(args.manifests) as put_manifests, file_writer(args.records) as put_records:
+        put_records(_encode_line(header_to_dict(records_header(spec, cfg))) + "\n")
         for manifests, records in simulate_blocks(spec, cfg):
-            put_manifests(manifests)
-            put_records(records)
+            for manifest in manifests:
+                put_manifests(_encode_line(manifest_to_dict(manifest)) + "\n")
+            for record in records:
+                put_records(_encode_line(record_to_dict(record)) + "\n")
     print(
         f"wrote {spec.n_samples} manifests to {args.manifests}"
         f" and {spec.n_samples} records to {args.records}"
@@ -204,8 +211,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.manifests is None and args.records is None:
-        raise ValueError("nothing to validate: pass --manifests and/or --records")
     manifests = None
     if args.manifests is not None:
         mismatched: list[str] = []

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .graphhash import graph_hash
-from .records import SampleGroup, SampleManifest, TaskCategory, jsonl_writer, read_manifest_lines
+from .records import SampleGroup, SampleManifest, TaskCategory, file_writer, read_manifest_lines
 
 __all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "stats"]
 
@@ -40,18 +40,13 @@ def dedup_file(path: str | Path, out: str | Path) -> tuple[int, int]:
     included. Returns the (kept, dropped) line counts.
     """
     kept = dropped = 0
-
-    def kept_lines() -> Iterator[str]:
-        nonlocal kept, dropped
+    with file_writer(out) as write:
         for text, first in _first_by_hash(read_manifest_lines(path)):
             if first:
                 kept += 1
-                yield text
+                write(text + "\n")
             else:
                 dropped += 1
-
-    with jsonl_writer(out) as write:
-        write(kept_lines())
     return kept, dropped
 
 

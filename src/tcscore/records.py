@@ -37,7 +37,7 @@ __all__ = [
     "SampleManifest",
     "TaskCategory",
     "TensorComparison",
-    "jsonl_writer",
+    "file_writer",
     "load_manifests",
     "load_records",
     "load_sample_groups",
@@ -73,6 +73,7 @@ class TaskCategory(Enum):
 _CATEGORIES = {category.value: category for category in TaskCategory}
 
 _HEX_DIGEST = re.compile(r"[0-9a-fA-F]+\Z")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,10 +269,7 @@ def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
     if manifest.source_digest_inputs is not None:
         data["source_digest_inputs"] = {
             "normalized_source": manifest.source_digest_inputs.normalized_source,
-            "topology": [
-                [op, list(inputs)]
-                for op, inputs in manifest.source_digest_inputs.topology
-            ],
+            "topology": manifest.source_digest_inputs.topology,
         }
     return data
 
@@ -540,34 +538,31 @@ def _load_records(path: Path, build: Callable[[CheckedRecord], _Item]) -> tuple[
 
 def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
     """Write manifests as canonical JSON lines (sorted keys, compact)."""
-    with jsonl_writer(path) as write:
-        write(manifests)
+    with file_writer(path) as write:
+        for manifest in manifests:
+            write(_encode_line(manifest_to_dict(manifest)) + "\n")
 
 
 def write_records(
     path: str | Path, header: RecordsHeader, records: Iterable[RunRecord]
 ) -> None:
     """Write the header line followed by one record per line."""
-    with jsonl_writer(path, header) as write:
-        write(records)
+    with file_writer(path) as write:
+        write(_encode_line(header_to_dict(header)) + "\n")
+        for record in records:
+            write(_encode_line(record_to_dict(record)) + "\n")
 
 
 @contextmanager
-def jsonl_writer(
-    path: str | Path, header: RecordsHeader | None = None
-) -> Iterator[Callable[[Iterable[Any]], None]]:
-    """Yield a function that appends manifests, or records after ``header``, to ``path``.
+def file_writer(path: str | Path) -> Iterator[Callable[[str], int]]:
+    """Yield a ``write(text)`` whose text replaces ``path`` when the block ends cleanly.
 
-    Given a ``header``, the file is a records file: the header line, then
-    one line per record; otherwise one line per manifest. Model objects are
-    written as canonical JSON; a ``str`` is a line already encoded, written
-    as it is (a newline is added). Lines go to a
-    temporary sibling of ``path`` (symlinks resolved) that replaces it
-    when the block ends cleanly and is deleted on any exception, so
-    ``path`` holds either its old bytes or every line. An existing target
-    that is not a regular file (a directory, pipe or device) is refused.
+    Every file tcscore writes goes through here. Text goes to a temporary
+    sibling of ``path`` (symlinks resolved) that replaces it when the
+    block ends cleanly and is deleted on any exception, so ``path`` holds
+    either its old bytes or all the text. An existing target that is not
+    a regular file (a directory, pipe or device) is refused.
     """
-    to_dict = manifest_to_dict if header is None else record_to_dict
     target = Path(path).resolve()
     if target.exists() and not target.is_file():
         raise OSError(errno.EINVAL, "not a regular file", str(path))
@@ -578,11 +573,7 @@ def jsonl_writer(
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
-            if header is not None:
-                fh.write(_encode_line(header_to_dict(header)) + "\n")
-            yield lambda items: fh.writelines(
-                (i if type(i) is str else _encode_line(to_dict(i))) + "\n" for i in items
-            )
+            yield fh.write
         os.replace(temporary, target)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -664,6 +655,9 @@ def _expect_str(data: Mapping[str, Any], key: str, default: str | None = None) -
     value = data.get(key, default)
     if type(value) is not str:
         raise ValueError(f"{key} must be a string")
+    # JSON's "\ud800" decodes to a code point that no UTF-8 output can hold.
+    if not value.isascii() and _SURROGATE.search(value):
+        raise ValueError(f"{key} must not hold a lone surrogate")
     return value
 
 

@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tcscore
 from tcscore.cli import main
 from tcscore.dataset import audit_hashes, dedup
 from tcscore.graphhash import HashInput, graph_hash
@@ -86,16 +90,34 @@ def test_dedup_bad_last_line_leaves_out_untouched(tmp_path, capsys, in_place):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"m.jsonl", out.name})
 
 
-def test_dedup_refuses_a_pipe_target(tmp_path, capsys):
-    pipe = tmp_path / "pipe"
-    os.mkfifo(pipe)
-    m_path = _manifests_file(tmp_path)
-    assert main(["dedup", "--manifests", str(m_path), "--out", str(pipe)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: [Errno 22] not a regular file: {str(pipe)!r}\n"
-    assert stat.S_ISFIFO(pipe.stat().st_mode)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "pipe"]
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+@pytest.mark.parametrize("command", ["dedup", "report", "curve", "violin", "stats"])
+def test_out_refuses_a_target_that_is_not_a_regular_file(tmp_path, capsys, command, kind):
+    # Every `--out` goes through the one writer. The child has a timeout:
+    # opening a pipe for writing would wait for a reader.
+    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
+    assert main(["simulate", "--n", "3", "--manifests", str(m_path), "--records", str(r_path)]) == 0
+    capsys.readouterr()
+    target = tmp_path / kind
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        target.mkdir()
+    argv = [command, "--manifests", str(m_path), "--out", str(target)]
+    if command in ("report", "curve", "violin"):
+        argv += ["--records", str(r_path)]
+    paths = [str(Path(tcscore.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-m", "tcscore", *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"error: [Errno 22] not a regular file: {str(target)!r}\n"
+    if kind == "fifo":
+        assert stat.S_ISFIFO(target.stat().st_mode)
+    else:
+        assert os.listdir(target) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["m.jsonl", "r.jsonl", kind])
 
 
 def test_graph_hash_case_is_ignored(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import io
@@ -9,10 +10,13 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tcscore
 from tcscore.cli import main
 from tcscore.graphhash import HashInput, _encode_topology, graph_hash
 from tcscore.records import (
@@ -673,3 +677,62 @@ def test_topology_encoder_matches_json_dumps(topology):
     as_lists = [[op, list(inputs)] for op, inputs in topology]
     frozen = HashInput.from_source("", as_lists).topology
     assert _encode_topology(as_lists) == _encode_topology(frozen) == _dumps(as_lists)
+
+
+def _write_calls(tree: ast.AST) -> Iterator[ast.Call]:
+    """Each call in ``tree`` that may open a file for writing.
+
+    That is ``write_text``, ``write_bytes``, and an ``open`` whose mode
+    holds w, a, x or + or is not a string literal.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        if name in ("write_text", "write_bytes"):
+            yield node
+        elif name == "open":
+            # open(file, mode), os.open(path, flags) and io.open(file, mode); Path.open(mode).
+            receiver = getattr(node.func, "value", None)
+            takes_path = receiver is None or isinstance(receiver, ast.Name) and receiver.id in ("os", "io")
+            args = node.args[1:] if takes_path else node.args
+            modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")] + args
+            read_only = not modes or (
+                isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)
+                and not set("wax+") & set(modes[0].value)
+            )
+            if not read_only:
+                yield node
+
+
+@pytest.mark.parametrize(
+    "code, writes",
+    [
+        ('Path(out).write_text(text, encoding="utf-8")', True),
+        ("out.write_bytes(data)", True),
+        ('open(path, "a")', True),
+        ('path.open("r+b")', True),
+        ("open(path, mode=mode)", True),
+        ("os.open(path, os.O_WRONLY)", True),
+        ("open(path)", False),
+        ('path.open("rb")', False),
+        ('open(path, encoding="utf-8")', False),
+    ],
+)
+def test_write_call_detector(code, writes):
+    assert bool(list(_write_calls(ast.parse(code)))) == writes
+
+
+def test_only_the_file_writer_opens_files_for_writing():
+    # A second write path would lose the writer's guarantees: old bytes
+    # kept on failure, no truncated target, no pipe or device written.
+    owners = []
+    for path in sorted(Path(tcscore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(call): "<module>" for call in _write_calls(tree)}
+        # ast.walk is breadth first: an inner function overrides its outer one.
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(call): func.name for call in _write_calls(func)})
+        owners += [f"{path.name}:{name}" for name in owner.values()]
+    assert owners == ["records.py:file_writer"]

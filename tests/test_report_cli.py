@@ -229,6 +229,30 @@ def test_cli_report_writes_table(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "t,alpha,beta,lambda,eta,S(t),gamma,ES(t)"
 
 
+@pytest.mark.parametrize(
+    "command, renderer",
+    [("report", "render_table"), ("curve", "render_curve"), ("violin", "render_violin"),
+     ("stats", "render_stats")],
+)
+def test_cli_out_keeps_its_bytes_when_the_write_fails(tmp_path, capsys, monkeypatch, command, renderer):
+    # A lone surrogate has no UTF-8 form, so writing it fails part-way.
+    m_path, r_path = write_dataset(tmp_path, *small_dataset())
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"keep me\n")
+    monkeypatch.setattr(tcscore.report, renderer, lambda *args: "row \ud800\n")
+    argv = [command, "--manifests", m_path, "--out", str(out)]
+    if command != "stats":
+        argv += ["--records", r_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 'utf-8' codec can't encode character '\\ud800' in position 4: surrogates not allowed\n"
+    )
+    assert out.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "out.txt", "r.jsonl"]
+
+
 def test_cli_score_outputs_json(tmp_path, capsys):
     manifests, records = small_dataset()
     m_path, r_path = write_dataset(tmp_path, manifests, records)
@@ -398,6 +422,7 @@ def test_cli_grid_levels_must_be_measured_and_ascending(tmp_path, capsys):
         {"error_rates": [0.1]},
         {"category_mix": ["CV"]},
         {"noise_law": {"float32": None}},
+        {"framework": "torch\ud800"},
     ],
 )
 def test_cli_simulate_rejects_malformed_spec(tmp_path, capsys, spec):
@@ -595,13 +620,53 @@ def test_cli_flag_overrides(tmp_path, capsys):
     assert payload["gamma"] == 0.5
 
 
-def test_cli_usage_errors_exit_2(tmp_path):
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["unknown-command"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         main(["report", "--records", "r", "--manifests", "m", "--format", "yaml"])
     assert excinfo.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("tcscore: error: nothing to validate: pass --manifests and/or --records\n")
+
+
+# Each planted lone surrogate: file, line number, key, and how to plant it.
+_SURROGATES = {
+    "framework": ("m", 1, lambda line: line.update(framework="torch\ud800")),
+    "normalized_source": ("m", 2, lambda line: line.update(source_digest_inputs={
+        "normalized_source": "x = \ud800", "topology": [["add", [0, 1]]]})),
+    "message": ("r", 5, lambda line: line["outcome"].update(message="no\ud800pe")),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("validate", "report", "dedup") for key in _SURROGATES
+     if (command, key) != ("dedup", "message")],
+)
+def test_cli_ingest_refuses_lone_surrogates(tmp_path, capsys, command, key):
+    # JSON "\ud800" decodes to a string that no UTF-8 output can hold.
+    paths = dict(zip("mr", map(Path, write_dataset(tmp_path, *small_dataset()))))
+    which, lineno, plant = _SURROGATES[key]
+    lines = [json.loads(line) for line in paths[which].read_text().splitlines()]
+    plant(lines[lineno - 1])
+    paths[which].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "out.txt"
+    argv = {
+        "validate": ["validate", "--manifests", str(paths["m"]), "--records", str(paths["r"])],
+        "report": ["report", "--manifests", str(paths["m"]), "--records", str(paths["r"])],
+        "dedup": ["dedup", "--manifests", str(paths["m"]), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {paths[which]}:{lineno}: {key} must not hold a lone surrogate\n"
+    assert not out.exists()
 
 
 def test_cli_simulate_defaults_then_report(tmp_path, capsys):
