@@ -1,5 +1,5 @@
 """Correctness-aware speedup scoring for tensor-compiler benchmark runs."""
 
-from .scoring import ScoreConfig, gamma, score_curve, score_level
+from .scoring import ScoreConfig, gamma, score_curve
 
 __version__ = "0.1.0"

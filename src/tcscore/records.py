@@ -17,9 +17,9 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .graphhash import HashInput, _check_topology, _freeze_topology, graph_hash, normalize_source
 from .tolerance import ScalarKind
@@ -27,6 +27,7 @@ from .tolerance import ScalarKind
 __all__ = [
     "CompileFailure",
     "Completed",
+    "ErrorCode",
     "IngestError",
     "RecordsHeader",
     "RunOutcome",
@@ -114,14 +115,25 @@ class SampleGroup(NamedTuple):
     operator_count: int
 
 
+class ErrorCode(IntEnum):
+    """Failure category; a level t forgives codes with value <= t."""
+
+    ACCURACY = 1
+    RUNTIME_CRASH = 2
+    COMPILE_FAILURE = 3
+
+    def tolerated_at(self, t: float) -> bool:
+        return t >= self.value
+
+
 class ScoreRow(NamedTuple):
-    """What scoring reads of a record: a completed run (``code`` 0) is
-    correct at level t when ``passing``, its largest min_passing_t (inf if
-    any is null), is <= min(t, 0). A runtime crash is code 2 and a compile
-    failure code 3, with ``passing`` inf and no speedup."""
+    """What scoring reads of a record: a completed run (``error_code``
+    None) is correct at level t when ``passing``, its largest min_passing_t
+    (inf if any is null), is <= min(t, 0). A failed run has its outcome's
+    ``error_code``, ``passing`` inf and no speedup."""
 
     sample_id: str
-    code: int
+    error_code: ErrorCode | None
     passing: float
     speedup: float | None
 
@@ -151,6 +163,7 @@ def _comparison_rules(tensor_index: int) -> None:
 class Completed:
     """Compiled run finished and its outputs were compared."""
 
+    kind: ClassVar[str] = "completed"
     comparisons: tuple[TensorComparison, ...]
 
     def __post_init__(self) -> None:
@@ -164,19 +177,20 @@ def _completed_rules(comparisons: Sequence[Any]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class RuntimeCrash:
+    kind: ClassVar[str] = "runtime_crash"
+    error_code: ClassVar[ErrorCode] = ErrorCode.RUNTIME_CRASH
     message: str = ""
 
 
 @dataclass(frozen=True, slots=True)
 class CompileFailure:
+    kind: ClassVar[str] = "compile_failure"
+    error_code: ClassVar[ErrorCode] = ErrorCode.COMPILE_FAILURE
     message: str = ""
 
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
-_OUTCOMES = {"runtime_crash": RuntimeCrash, "compile_failure": CompileFailure}
-_OUTCOME_KINDS = {outcome: kind for kind, outcome in _OUTCOMES.items()}
-# ``ScoreRow.code`` of each failure kind: ``scoring.ErrorCode``'s values.
-_FAILURE_CODES = {"runtime_crash": 2, "compile_failure": 3}
+_OUTCOMES = {outcome.kind: outcome for outcome in RunOutcome.__args__}
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,6 +306,7 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     dtypes = data.get("dtypes", [])
     if not isinstance(dtypes, list) or not all(isinstance(v, str) for v in dtypes):
         raise ValueError("dtypes must be a list of kind names")
+    _refuse_surrogates("".join(dtypes), "dtypes")
     parameter_count = data.get("parameter_count")
     if parameter_count is not None:
         parameter_count = _expect_int(data, "parameter_count")
@@ -300,6 +315,7 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
         digest_inputs = _expect_object(data, "source_digest_inputs")
         _expect_str(digest_inputs, "normalized_source")
         _check_topology(digest_inputs.get("topology"))
+        _refuse_surrogates("".join([op for op, _ in digest_inputs["topology"]]), "topology")
     checked = CheckedManifest(
         _expect_str(data, "sample_id"),
         _expect_str(data, "framework"),
@@ -325,20 +341,14 @@ def _build_manifest(m: CheckedManifest) -> SampleManifest:
 
 def record_to_dict(record: RunRecord) -> dict[str, Any]:
     outcome = record.outcome
+    encoded: dict[str, Any] = {"kind": outcome.kind}
     if isinstance(outcome, Completed):
-        encoded: dict[str, Any] = {
-            "kind": "completed",
-            "comparisons": [
-                {
-                    "tensor_index": c.tensor_index,
-                    "kind": c.kind.value,
-                    "min_passing_t": c.min_passing_t,
-                }
-                for c in outcome.comparisons
-            ],
-        }
+        encoded["comparisons"] = [
+            {"tensor_index": c.tensor_index, "kind": c.kind.value, "min_passing_t": c.min_passing_t}
+            for c in outcome.comparisons
+        ]
     else:
-        encoded = {"kind": _OUTCOME_KINDS[type(outcome)], "message": outcome.message}
+        encoded["message"] = outcome.message
     data: dict[str, Any] = {
         "sample_id": record.sample_id,
         "eager_time_s": record.eager_time_s,
@@ -354,13 +364,13 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
 class CheckedRecord(NamedTuple):
     """A record line's checked JSON values, named as ``RunRecord``'s fields.
 
-    The outcome is its kind and ``detail``: the ``(tensor_index, kind
+    The outcome is its type and ``detail``: the ``(tensor_index, kind
     name, min_passing_t)`` comparisons of a completed run, else its message.
     """
 
     sample_id: str
     eager_time_s: float
-    outcome_kind: str
+    outcome: type[RunOutcome]
     detail: list[tuple[int, str, float | None]] | str
     compiled_time_s: float | None
     warmup_iters: int
@@ -374,13 +384,14 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
     """
     raw_outcome = _expect_object(data, "outcome")
     outcome_kind = _expect_str(raw_outcome, "kind")
-    if outcome_kind == "completed":
+    outcome = _OUTCOMES.get(outcome_kind)
+    if outcome is Completed:
         raw_comparisons = raw_outcome.get("comparisons")
         if not isinstance(raw_comparisons, list):
             raise ValueError("completed outcome requires a comparisons list")
         detail: Any = [_check_comparison(c, grid) for c in raw_comparisons]
         _completed_rules(detail)
-    elif outcome_kind in _OUTCOMES:
+    elif outcome is not None:
         detail = _expect_str(raw_outcome, "message", "")
     else:
         raise ValueError(f"unknown outcome kind {outcome_kind!r}")
@@ -390,11 +401,11 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
     checked = CheckedRecord(
         _expect_str(data, "sample_id"),
         _expect_real(data, "eager_time_s"),
-        outcome_kind, detail, compiled,
+        outcome, detail, compiled,
         _expect_int(data, "warmup_iters"),
         _expect_int(data, "timed_iters"),
     )
-    _record_rules(checked, outcome_kind == "completed")
+    _record_rules(checked, outcome is Completed)
     return checked
 
 
@@ -415,32 +426,31 @@ def _check_comparison(data: Any, grid: frozenset[float]) -> tuple[int, str, floa
 
 
 def _build_record(r: CheckedRecord) -> RunRecord:
-    if r.outcome_kind == "completed":
+    if r.outcome is Completed:
         outcome = Completed(
             tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in r.detail])
         )
     else:
-        outcome = _OUTCOMES[r.outcome_kind](r.detail)
+        outcome = r.outcome(r.detail)
     return RunRecord(r.sample_id, r.eager_time_s, outcome, r.compiled_time_s, r.warmup_iters, r.timed_iters)
 
 
 def _build_score_row(r: CheckedRecord) -> ScoreRow:
-    if r.outcome_kind != "completed":
-        return ScoreRow(r.sample_id, _FAILURE_CODES[r.outcome_kind], math.inf, None)
+    if r.outcome is not Completed:
+        return ScoreRow(r.sample_id, r.outcome.error_code, math.inf, None)
     levels = [t for _, _, t in r.detail]
     passing = math.inf if None in levels else max(levels)
-    return ScoreRow(r.sample_id, 0, passing, r.eager_time_s / r.compiled_time_s)
+    return ScoreRow(r.sample_id, None, passing, r.eager_time_s / r.compiled_time_s)
 
 
 def score_row(record: RunRecord) -> ScoreRow:
     """Reduce a record to the ``ScoreRow`` that ``load_score_rows`` builds from its line."""
     outcome = record.outcome
-    kind = _OUTCOME_KINDS.get(type(outcome), "completed")
-    detail = outcome.message if kind != "completed" else [
+    detail = outcome.message if not isinstance(outcome, Completed) else [
         (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
     ]
     return _build_score_row(CheckedRecord(
-        record.sample_id, record.eager_time_s, kind, detail,
+        record.sample_id, record.eager_time_s, type(outcome), detail,
         record.compiled_time_s, record.warmup_iters, record.timed_iters,
     ))
 
@@ -655,10 +665,14 @@ def _expect_str(data: Mapping[str, Any], key: str, default: str | None = None) -
     value = data.get(key, default)
     if type(value) is not str:
         raise ValueError(f"{key} must be a string")
+    return value if value.isascii() else _refuse_surrogates(value, key)
+
+
+def _refuse_surrogates(text: str, key: str) -> str:
     # JSON's "\ud800" decodes to a code point that no UTF-8 output can hold.
-    if not value.isascii() and _SURROGATE.search(value):
+    if not text.isascii() and _SURROGATE.search(text):
         raise ValueError(f"{key} must not hold a lone surrogate")
-    return value
+    return text
 
 
 def _expect_int(data: Mapping[str, Any], key: str) -> int:

@@ -121,7 +121,7 @@ def violin_data(
     groups: dict[tuple[str, str], list[float]] = {}
     for manifest, row in pairs:
         logs = groups.setdefault((manifest.framework, manifest.task_category.value), [])
-        if row.code == 0 and row.passing <= 0.0:
+        if row.error_code is None and row.passing <= 0.0:
             logs.append(math.log2(row.speedup))
     return dict(sorted(groups.items()))
 

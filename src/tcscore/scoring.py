@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Any, Sequence
 
 from .records import (
-    CompileFailure,
     Completed,
+    ErrorCode,
     IngestError,
     RecordsHeader,
     RunRecord,
-    RuntimeCrash,
     SampleGroup,
     SampleManifest,
     ScoreRow,
@@ -45,21 +43,9 @@ __all__ = [
     "join_samples",
     "rectified_speedup",
     "score_curve",
-    "score_level",
     "score_rows",
     "speedup_score",
 ]
-
-
-class ErrorCode(IntEnum):
-    """Failure category; a level t forgives codes with value <= t."""
-
-    ACCURACY = 1
-    RUNTIME_CRASH = 2
-    COMPILE_FAILURE = 3
-
-    def tolerated_at(self, t: float) -> bool:
-        return t >= self.value
 
 
 @dataclass(frozen=True)
@@ -160,10 +146,8 @@ def classify(record: RunRecord, t: float, cfg: ScoreConfig) -> ClassifiedSample:
     """
     cutoff = min(cfg.level(t), 0.0)
     outcome, sample_id = record.outcome, record.sample_id
-    if isinstance(outcome, CompileFailure):
-        return ClassifiedSample(sample_id, None, ErrorCode.COMPILE_FAILURE)
-    if isinstance(outcome, RuntimeCrash):
-        return ClassifiedSample(sample_id, None, ErrorCode.RUNTIME_CRASH)
+    if not isinstance(outcome, Completed):
+        return ClassifiedSample(sample_id, None, outcome.error_code)
     for comparison in outcome.comparisons:
         passing = comparison.min_passing_t
         if passing is None or not passing <= cutoff:
@@ -179,7 +163,7 @@ def components(samples: Sequence[ClassifiedSample], t: float, cfg: ScoreConfig) 
 def _sample_point(samples: Sequence[ClassifiedSample], t: float, cfg: ScoreConfig) -> CurvePoint:
     """Score samples through ``score_rows``: a correct sample is a row that passes at
     every level, an erroneous one a row that fails at every level with its code."""
-    rows = [(s.sample_id, s.error_code or 0, -math.inf, s.speedup) for s in samples]
+    rows = [ScoreRow(s.sample_id, s.error_code, -math.inf, s.speedup) for s in samples]
     return score_rows(rows, cfg, (t,)).points[0]
 
 
@@ -322,10 +306,10 @@ def score_rows(
     total = len(rows)
     if total == 0:
         raise ValueError("no samples")
-    failures = [0, 0, 0, 0]  # rows by nonzero code, which fail at every level
+    failures = [0, 0, 0, 0]  # rows by error code, which fail at every level
     buckets: dict[float, tuple[list[float], list[float]]] = {}
     for _, code, passing, speedup in rows:
-        if code:
+        if code is not None:
             failures[code] += 1
         elif passing <= 0.0:
             logs, slow = buckets.get(passing) or buckets.setdefault(passing, ([], []))
@@ -333,13 +317,14 @@ def score_rows(
             if speedup < 1.0:
                 slow.append(logs[-1])
     keys = sorted(buckets)
+    crashes, compile_failures = failures[ErrorCode.RUNTIME_CRASH], failures[ErrorCode.COMPILE_FAILURE]
     points = []
     for t in levels:
         read = [buckets[key] for key in keys if key <= min(t, 0.0)]
         logs = [log for bucket, _ in read for log in bucket]
         slow = [log for _, bucket in read for log in bucket]
         correct, errors = len(logs), total - len(logs)
-        counts = (errors - failures[2] - failures[3], failures[2], failures[3])
+        counts = (errors - crashes - compile_failures, crashes, compile_failures)
         comp = ScoreComponents(
             _geomean(logs), _geomean(slow), correct / total, len(slow) / correct if correct else 0.0,
             gamma(counts, t, cfg), tuple(n / errors for n in counts) if errors else (0.0, 0.0, 0.0),
@@ -350,11 +335,6 @@ def score_rows(
     return ScoreCurve(tuple(points))
 
 
-def score_level(records: Sequence[RunRecord], t: float, cfg: ScoreConfig) -> CurvePoint:
-    """Classify and score every record at grid level t, reported as the grid holds it."""
-    return _sample_point([classify(record, t, cfg) for record in records], t, cfg)
-
-
 def score_curve(
     manifests: Sequence[SampleGroup | SampleManifest],
     records: Sequence[RunRecord],
@@ -362,4 +342,4 @@ def score_curve(
 ) -> ScoreCurve:
     """Classify and score the dataset at every grid level: the per-sample oracle of ``score_rows``."""
     join_samples(manifests, records)
-    return ScoreCurve(tuple(score_level(records, t, cfg) for t in cfg.grid))
+    return ScoreCurve(tuple(_sample_point([classify(r, t, cfg) for r in records], t, cfg) for t in cfg.grid))

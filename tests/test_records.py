@@ -17,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcscore
+import tcscore.scoring
 from tcscore.cli import main
 from tcscore.graphhash import HashInput, _encode_topology, graph_hash
 from tcscore.records import (
     CompileFailure,
     Completed,
+    ErrorCode,
     IngestError,
     RecordsHeader,
     RunRecord,
@@ -37,6 +39,7 @@ from tcscore.records import (
     manifest_to_dict,
     read_manifest_lines,
     record_to_dict,
+    score_row,
     write_manifests,
     write_records,
     _check_manifest,
@@ -266,9 +269,17 @@ WRONG_TYPES = [
     ("r", 2, (*ENTRY, "min_passing_t"), True, "min_passing_t must be a finite number"),
     ("r", 2, (*ENTRY, "min_passing_t"), "1.0", "min_passing_t must be a finite number"),
 ]
+# Values of the right JSON type that break a model rule, located the same way.
+BAD_VALUES = [
+    ("m", 1, ("sample_id",), "", "sample_id must be nonempty"),
+    ("r", 2, ("sample_id",), "", "sample_id must be nonempty"),
+    ("r", 2, ("compiled_time_s",), -1.0, "compiled_time_s must be positive, got -1.0"),
+    ("r", 2, ("warmup_iters",), -1, "warmup_iters must be >= 0, got -1"),
+    ("r", 2, ("outcome", "kind"), "exploded", "unknown outcome kind 'exploded'"),
+]
 
 
-@pytest.mark.parametrize("file, lineno, where, value, message", WRONG_TYPES)
+@pytest.mark.parametrize("file, lineno, where, value, message", WRONG_TYPES + BAD_VALUES)
 def test_load_rejects_wrong_json_types_located(
     tmp_path, capsys, file, lineno, where, value, message
 ):
@@ -473,6 +484,20 @@ def test_load_records_duplicate_id(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IngestError, match=r"duplicate sample_id 'a' \(first seen at line 2\)"):
         load_records(path)
+
+
+def test_score_rows_carry_each_outcome_types_error_code(tmp_path):
+    assert tcscore.scoring.ErrorCode is ErrorCode
+    records = [
+        make_record("done"),
+        make_record("crash", outcome=RuntimeCrash("boom"), compiled_time_s=None),
+        make_record("broken", outcome=CompileFailure("nope"), compiled_time_s=None),
+    ]
+    expected = [None, ErrorCode.RUNTIME_CRASH, ErrorCode.COMPILE_FAILURE]
+    path = tmp_path / "r.jsonl"
+    write_records(path, HEADER, records)
+    assert [row.error_code for row in load_score_rows(path)[1]] == expected
+    assert [score_row(record).error_code for record in records] == expected
 
 
 def _record_lines(records):

@@ -18,11 +18,13 @@ from tcscore.graphhash import HashInput, graph_hash, normalize_source
 from tcscore.records import (
     CompileFailure,
     Completed,
+    IngestError,
     RecordsHeader,
     RunRecord,
     SampleManifest,
     TaskCategory,
     TensorComparison,
+    load_manifests,
     write_manifests,
     write_records,
 )
@@ -641,6 +643,9 @@ _SURROGATES = {
     "normalized_source": ("m", 2, lambda line: line.update(source_digest_inputs={
         "normalized_source": "x = \ud800", "topology": [["add", [0, 1]]]})),
     "message": ("r", 5, lambda line: line["outcome"].update(message="no\ud800pe")),
+    "dtypes": ("m", 1, lambda line: line.update(dtypes=["float32", "\ud800"])),
+    "topology": ("m", 2, lambda line: line.update(source_digest_inputs={
+        "normalized_source": "x = y", "topology": [["add", [0, 1]], ["\udc00", [1]]]})),
 }
 
 
@@ -667,6 +672,9 @@ def test_cli_ingest_refuses_lone_surrogates(tmp_path, capsys, command, key):
     assert captured.out == ""
     assert captured.err == f"error: {paths[which]}:{lineno}: {key} must not hold a lone surrogate\n"
     assert not out.exists()
+    if which == "m":
+        with pytest.raises(IngestError, match=rf":{lineno}: {key} must not hold a lone surrogate\Z"):
+            load_manifests(paths["m"])
 
 
 def test_cli_simulate_defaults_then_report(tmp_path, capsys):

@@ -391,6 +391,8 @@ def test_score_curve_join_errors():
         score_curve(manifests, records[:1], CFG)
     with pytest.raises(IngestError, match="duplicate record"):
         join_samples(manifests, [records[0], records[0], records[1]])
+    with pytest.raises(IngestError, match="duplicate sample_id among manifests"):
+        score_curve([manifests[0], manifests[0], manifests[1]], records, CFG)
 
 
 def test_score_curve_empty_inputs():

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import tcscore.simulator
 from tcscore.cli import main
 from tcscore.graphhash import normalize_source
-from tcscore.records import Completed, CompileFailure, RuntimeCrash
+from tcscore.records import Completed, CompileFailure, RuntimeCrash, TaskCategory
 from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
     BLOCK,
@@ -49,6 +49,10 @@ def test_spec_validation():
         Log2NormalLaw(log2_mean=0.0, log2_stddev=-1.0)
     with pytest.raises(ValueError):
         SimSpec(noise_law={})
+    with pytest.raises(ValueError, match="category_mix must be nonempty"):
+        SimSpec(category_mix={})
+    with pytest.raises(ValueError, match="category weights must be >= 0"):
+        SimSpec(category_mix={TaskCategory.CV: 1.0, TaskCategory.NLP: -0.5})
 
 
 def test_spec_from_dict_roundtrip_defaults():
