@@ -37,21 +37,38 @@ def normalize_source(text: str) -> str:
 
 
 _BAD_TOPOLOGY = "topology must be a nonempty list of [op string, list of integer indices]"
+_SEQUENCES = (list, tuple)  # a global: a literal tuple of the two names is rebuilt on every test
+
+
+def _refuse_surrogates(text: str, key: str) -> str:
+    # The one lone-surrogate rule of ingest and the model types: JSON's "\ud800"
+    # decodes to a code point that UTF-8, and so every output, refuses.
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{key} must not hold a lone surrogate") from None
+    return text
 
 
 def _check_topology(topology: Sequence) -> None:
-    # Exact types: JSON booleans are ints to isinstance.
-    if type(topology) not in (list, tuple) or not topology:
+    # Exact types: JSON booleans are ints to isinstance. Shapes come before surrogates.
+    if type(topology) not in _SEQUENCES or not topology:
         raise ValueError(_BAD_TOPOLOGY)
+    ascii_ops = True
     for entry in topology:
-        if type(entry) not in (list, tuple) or len(entry) != 2:
+        if type(entry) not in _SEQUENCES or len(entry) != 2:
             raise ValueError(_BAD_TOPOLOGY)
         op, inputs = entry
-        if type(op) is not str or type(inputs) not in (list, tuple):
+        if type(op) is not str or type(inputs) not in _SEQUENCES:
             raise ValueError(_BAD_TOPOLOGY)
         for i in inputs:
             if type(i) is not int:
                 raise ValueError(_BAD_TOPOLOGY)
+        if not op.isascii():
+            ascii_ops = False
+    if not ascii_ops:
+        _refuse_surrogates("".join([op for op, _ in topology]), "topology")
 
 
 def _freeze_topology(topology: Sequence) -> Topology:
@@ -74,9 +91,10 @@ class HashInput:
 
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
-        """Normalize raw source text; check and freeze the topology listing."""
+        """Normalize raw source text; check and freeze the topology listing, as ingest does."""
         _check_topology(topology)
-        return cls(normalize_source(source), _freeze_topology(topology))
+        normalized = _refuse_surrogates(normalize_source(source), "normalized_source")
+        return cls(normalized, _freeze_topology(topology))
 
 
 def graph_hash(h: HashInput) -> str:

@@ -13,7 +13,6 @@ import errno
 import json
 import math
 import os
-import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,7 +20,9 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .graphhash import HashInput, _check_topology, _freeze_topology, graph_hash, normalize_source
+from .graphhash import (
+    HashInput, _check_topology, _freeze_topology, _refuse_surrogates, graph_hash, normalize_source
+)
 from .tolerance import ScalarKind
 
 __all__ = [
@@ -73,8 +74,8 @@ class TaskCategory(Enum):
 
 _CATEGORIES = {category.value: category for category in TaskCategory}
 
-_HEX_DIGEST = re.compile(r"[0-9a-fA-F]+\Z")
-_SURROGATE = re.compile("[\ud800-\udfff]")
+_HEX = "0123456789abcdefABCDEF"
+_MAX_FLOAT = sys.float_info.max
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,13 +97,15 @@ class SampleManifest:
 
 # Each model type's value rules, called by its ``__post_init__`` and on ingest's checked line.
 def _manifest_rules(manifest: SampleManifest | CheckedManifest) -> None:
+    _refuse_surrogates(manifest.sample_id, "sample_id")
+    _refuse_surrogates(manifest.framework, "framework")
     if not manifest.sample_id:
         raise ValueError("sample_id must be nonempty")
     if manifest.operator_count < 1:
         raise ValueError(f"operator_count must be >= 1, got {manifest.operator_count}")
     if manifest.parameter_count is not None and manifest.parameter_count < 0:
         raise ValueError(f"parameter_count must be >= 0, got {manifest.parameter_count}")
-    if not _HEX_DIGEST.match(manifest.graph_hash):
+    if not manifest.graph_hash or manifest.graph_hash.strip(_HEX):
         raise ValueError("graph_hash must be a nonempty hex digest")
 
 
@@ -181,12 +184,18 @@ class RuntimeCrash:
     error_code: ClassVar[ErrorCode] = ErrorCode.RUNTIME_CRASH
     message: str = ""
 
+    def __post_init__(self) -> None:
+        _refuse_surrogates(self.message, "message")
+
 
 @dataclass(frozen=True, slots=True)
 class CompileFailure:
     kind: ClassVar[str] = "compile_failure"
     error_code: ClassVar[ErrorCode] = ErrorCode.COMPILE_FAILURE
     message: str = ""
+
+    def __post_init__(self) -> None:
+        _refuse_surrogates(self.message, "message")
 
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
@@ -210,6 +219,7 @@ class RunRecord:
 
 def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
     eager, compiled = record.eager_time_s, record.compiled_time_s
+    _refuse_surrogates(record.sample_id, "sample_id")
     if not record.sample_id:
         raise ValueError("sample_id must be nonempty")
     if not eager > 0:
@@ -222,7 +232,7 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
         if not compiled > 0:
             raise ValueError(f"compiled_time_s must be positive, got {compiled}")
         speedup = eager / compiled
-        if not 0 < speedup <= sys.float_info.max:
+        if not 0 < speedup <= _MAX_FLOAT:
             raise ValueError(
                 "speedup eager_time_s / compiled_time_s must be finite and"
                 f" positive, got {speedup}"
@@ -243,6 +253,7 @@ class RecordsHeader:
     producer: str
 
     def __post_init__(self) -> None:
+        _refuse_surrogates(self.producer, "producer")
         object.__setattr__(self, "grid", level_grid(self.grid))
         check_penalties(self.p, self.b)
         if 0.0 not in self.grid:
@@ -301,21 +312,46 @@ class CheckedManifest(NamedTuple):
     source_digest_inputs: Mapping[str, Any] | None
 
 
+# Each checker tests a field's common JSON form inline and calls its
+# ``_expect_*`` helper only for the rest: a rare valid form, or a fault it
+# words. The last fields and the model rules share one test; if it fails,
+# their helpers and the rules run in the order of the full checks.
 def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     """Run every check of a manifest line, in a fixed order; return the checked values."""
     dtypes = data.get("dtypes", [])
-    if not isinstance(dtypes, list) or not all(isinstance(v, str) for v in dtypes):
+    try:
+        names = "".join(dtypes) if type(dtypes) is list else None
+    except TypeError:  # an entry that is not a string
+        names = None
+    if names is None:
         raise ValueError("dtypes must be a list of kind names")
-    _refuse_surrogates("".join(dtypes), "dtypes")
+    if not names.isascii():
+        _refuse_surrogates(names, "dtypes")
     parameter_count = data.get("parameter_count")
-    if parameter_count is not None:
-        parameter_count = _expect_int(data, "parameter_count")
-    digest_inputs = None
-    if data.get("source_digest_inputs") is not None:
-        digest_inputs = _expect_object(data, "source_digest_inputs")
-        _expect_str(digest_inputs, "normalized_source")
+    if parameter_count is not None and type(parameter_count) is not int:
+        _expect_int(data, "parameter_count")
+    digest_inputs = data.get("source_digest_inputs")
+    if digest_inputs is not None:
+        if type(digest_inputs) is not dict:
+            _expect_object(data, "source_digest_inputs")
+        source = digest_inputs.get("normalized_source")
+        if type(source) is not str or not source.isascii():
+            _expect_str(digest_inputs, "normalized_source")
         _check_topology(digest_inputs.get("topology"))
-        _refuse_surrogates("".join([op for op, _ in digest_inputs["topology"]]), "topology")
+    sample_id, framework, category = data.get("sample_id"), data.get("framework"), data.get("task_category")
+    operator_count, hex_digest = data.get("operator_count"), data.get("graph_hash")
+    category = _CATEGORIES.get(category) if type(category) is str else None  # a list is unhashable
+    if (
+        type(sample_id) is str and sample_id and sample_id.isascii()
+        and type(framework) is str and framework.isascii() and category is not None
+        and type(operator_count) is int and operator_count >= 1
+        and (parameter_count is None or parameter_count >= 0)
+        and type(hex_digest) is str and hex_digest and not hex_digest.strip(_HEX)
+    ):
+        return CheckedManifest(
+            sample_id, framework, category, operator_count, hex_digest,
+            dtypes, parameter_count, digest_inputs,
+        )
     checked = CheckedManifest(
         _expect_str(data, "sample_id"),
         _expect_str(data, "framework"),
@@ -326,7 +362,6 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     )
     _manifest_rules(checked)
     return checked
-
 
 def _build_manifest(m: CheckedManifest) -> SampleManifest:
     digest = m.source_digest_inputs
@@ -382,20 +417,50 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
 
     Each min_passing_t must be one of the ``grid`` levels.
     """
-    raw_outcome = _expect_object(data, "outcome")
-    outcome_kind = _expect_str(raw_outcome, "kind")
-    outcome = _OUTCOMES.get(outcome_kind)
+    raw_outcome = data.get("outcome")
+    if type(raw_outcome) is not dict:
+        _expect_object(data, "outcome")
+    outcome_kind = raw_outcome.get("kind")
+    outcome = _OUTCOMES.get(outcome_kind) if type(outcome_kind) is str else None
+    if outcome is None:
+        raise ValueError(f"unknown outcome kind {_expect_str(raw_outcome, 'kind')!r}")
     if outcome is Completed:
-        raw_comparisons = raw_outcome.get("comparisons")
-        if not isinstance(raw_comparisons, list):
+        comparisons = raw_outcome.get("comparisons")
+        if type(comparisons) is not list:
             raise ValueError("completed outcome requires a comparisons list")
-        detail: Any = [_check_comparison(c, grid) for c in raw_comparisons]
+        detail: Any = []
+        for c in comparisons:
+            if type(c) is not dict:
+                raise ValueError("comparison entries must be objects")
+            level, tensor_index, kind = c.get("min_passing_t"), c.get("tensor_index"), c.get("kind")
+            if type(level) is int and level in grid:  # a level written as a JSON integer
+                level = float(level)
+            elif level is not None and not (type(level) is float and level in grid):
+                level = _expect_real(c, "min_passing_t")
+                if level not in grid:
+                    raise ValueError(
+                        f"min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
+                    )
+            if not (type(tensor_index) is int and tensor_index >= 0 and type(kind) is str and kind.isascii()):
+                tensor_index, kind = _expect_int(c, "tensor_index"), _expect_str(c, "kind")
+                _comparison_rules(tensor_index)
+            detail.append((tensor_index, kind, level))
         _completed_rules(detail)
-    elif outcome is not None:
-        detail = _expect_str(raw_outcome, "message", "")
     else:
-        raise ValueError(f"unknown outcome kind {outcome_kind!r}")
-    compiled = data.get("compiled_time_s")
+        detail = raw_outcome.get("message", "")
+        if type(detail) is not str or not detail.isascii():
+            detail = _expect_str(raw_outcome, "message", "")
+    sample_id, eager, compiled = data.get("sample_id"), data.get("eager_time_s"), data.get("compiled_time_s")
+    warmup, timed = data.get("warmup_iters"), data.get("timed_iters")
+    if (
+        type(sample_id) is str and sample_id and sample_id.isascii()
+        and type(eager) is float and 0 < eager <= _MAX_FLOAT
+        and type(warmup) is int and warmup >= 0 and type(timed) is int and timed >= 1
+        and (compiled is None if outcome is not Completed else (
+            type(compiled) is float and compiled > 0 and 0 < eager / compiled <= _MAX_FLOAT
+        ))
+    ):
+        return CheckedRecord(sample_id, eager, outcome, detail, compiled, warmup, timed)
     if compiled is not None:
         compiled = _expect_real(data, "compiled_time_s")
     checked = CheckedRecord(
@@ -408,23 +473,6 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
     _record_rules(checked, outcome is Completed)
     return checked
 
-
-def _check_comparison(data: Any, grid: frozenset[float]) -> tuple[int, str, float | None]:
-    if type(data) is not dict:
-        raise ValueError("comparison entries must be objects")
-    level = data.get("min_passing_t")
-    if level is not None:
-        level = _expect_real(data, "min_passing_t")
-        if level not in grid:
-            raise ValueError(
-                f"min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
-            )
-    tensor_index = _expect_int(data, "tensor_index")
-    kind = _expect_str(data, "kind")
-    _comparison_rules(tensor_index)
-    return tensor_index, kind, level
-
-
 def _build_record(r: CheckedRecord) -> RunRecord:
     if r.outcome is Completed:
         outcome = Completed(
@@ -436,11 +484,17 @@ def _build_record(r: CheckedRecord) -> RunRecord:
 
 
 def _build_score_row(r: CheckedRecord) -> ScoreRow:
-    if r.outcome is not Completed:
-        return ScoreRow(r.sample_id, r.outcome.error_code, math.inf, None)
-    levels = [t for _, _, t in r.detail]
-    passing = math.inf if None in levels else max(levels)
-    return ScoreRow(r.sample_id, None, passing, r.eager_time_s / r.compiled_time_s)
+    sample_id, eager, outcome, detail, compiled, _, _ = r
+    if outcome is not Completed:
+        return ScoreRow(sample_id, outcome.error_code, math.inf, None)
+    passing = -math.inf
+    for _, _, t in detail:
+        if t is None:
+            passing = math.inf
+            break
+        if t > passing:
+            passing = t
+    return ScoreRow(sample_id, None, passing, eager / compiled)
 
 
 def score_row(record: RunRecord) -> ScoreRow:
@@ -665,14 +719,7 @@ def _expect_str(data: Mapping[str, Any], key: str, default: str | None = None) -
     value = data.get(key, default)
     if type(value) is not str:
         raise ValueError(f"{key} must be a string")
-    return value if value.isascii() else _refuse_surrogates(value, key)
-
-
-def _refuse_surrogates(text: str, key: str) -> str:
-    # JSON's "\ud800" decodes to a code point that no UTF-8 output can hold.
-    if not text.isascii() and _SURROGATE.search(text):
-        raise ValueError(f"{key} must not hold a lone surrogate")
-    return text
+    return _refuse_surrogates(value, key)
 
 
 def _expect_int(data: Mapping[str, Any], key: str) -> int:
@@ -698,4 +745,4 @@ def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
 
 def _is_real(value: Any) -> bool:
     # Finite and within float range: rejects NaN, infinities and huge integers.
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) in (int, float) and abs(value) <= _MAX_FLOAT

@@ -21,9 +21,11 @@ rendering and dataset subcommand accepts them too, in every format.
 
 The fourth holds ``validate`` to the same promise on hand-written files:
 header grids with and without positive levels, every outcome kind,
-passing levels null, on the grid or off it, and times out to the edges
-of float range. Both also require ``dedup`` to write input lines, in
-input order and as they were read, accounting for every input line.
+passing levels null, on the grid or off it, written as floats or as
+integers, times out to the edges of float range or written as integers,
+and ids and frameworks in ASCII or not. Both also require ``dedup`` to
+write input lines, in input order and as they were read, accounting for
+every input line.
 
 The fifth holds the loaders that keep part of each line to the full
 loaders: on every corrupted manifests file, ``load_sample_groups``, with
@@ -315,6 +317,9 @@ EDGE_TIMES = st.one_of(
     st.floats(min_value=0, exclude_min=True, allow_infinity=False),
     st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0]),
 )
+# Times written as JSON integers, up to 2**1023, which a double holds, and
+# 2**1024, which none does.
+INTEGER_TIMES = st.integers(1, 10**6) | st.sampled_from([2**1023, 2**1024])
 OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
 
 
@@ -324,20 +329,21 @@ def hand_written(draw) -> tuple[dict, list[dict], list[dict]]:
     positive = draw(st.lists(st.sampled_from([0.5, 1, 2, 3, 4, 6]), unique=True, max_size=4))
     grid = sorted({*map(float, numeric), 0.0, *map(float, positive)})
     header = {"grid": grid, "p": draw(OPEN_UNIT), "b": draw(OPEN_UNIT), "producer": "hand"}
-    passing = st.one_of(st.none(), st.sampled_from(grid))
+    levels = st.sampled_from(grid)
+    passing = st.one_of(st.none(), levels, levels.filter(float.is_integer).map(int))
     if draw(st.booleans()):  # then validate rejects nearly every file
         passing |= st.floats(-20, 20)
     manifests, records = [], []
     for i in range(draw(st.integers(1, 5))):
-        sample_id = f"h{i}"
+        sample_id = f"h{i}" + draw(st.sampled_from(["", "é", "中"]))
         manifests.append({
             "sample_id": sample_id,
-            "framework": draw(st.sampled_from(["torch", "paddle"])),
+            "framework": draw(st.sampled_from(["torch", "paddle", "pädle"])),
             "task_category": draw(st.sampled_from([c.value for c in TaskCategory])),
             "operator_count": draw(st.integers(1, 2**40)),
             "graph_hash": f"{i:064x}",
         })
-        record = {"sample_id": sample_id, "eager_time_s": draw(EDGE_TIMES),
+        record = {"sample_id": sample_id, "eager_time_s": draw(EDGE_TIMES | INTEGER_TIMES),
                   "warmup_iters": 0, "timed_iters": 1}
         kind = draw(st.sampled_from(["completed", "runtime_crash", "compile_failure"]))
         if kind == "completed":
@@ -346,7 +352,7 @@ def hand_written(draw) -> tuple[dict, list[dict], list[dict]]:
                 {"tensor_index": j, "kind": "float32", "min_passing_t": t}
                 for j, t in enumerate(comparisons)
             ]}
-            record["compiled_time_s"] = draw(EDGE_TIMES)
+            record["compiled_time_s"] = draw(EDGE_TIMES | INTEGER_TIMES)
         else:
             record["outcome"] = {"kind": kind, "message": "boom"}
         records.append(record)

@@ -119,6 +119,36 @@ def test_model_invariants_enforced():
         make_record(timed_iters=0)
 
 
+# Each model constructor refuses a string that ingest refuses, with ingest's
+# message, so the library never writes a line its own loaders refuse.
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: HashInput.from_source("x = y", [("\udc00", [0])]), "topology"),
+        (lambda: HashInput.from_source("x = \ud800", [("add", [0])]), "normalized_source"),
+        (lambda: make_manifest("s\ud800"), "sample_id"),
+        (lambda: make_manifest(framework="to\udfffrch"), "framework"),
+        (lambda: make_record("s\ud800"), "sample_id"),
+        (lambda: RuntimeCrash("bo\ud800om"), "message"),
+        (lambda: CompileFailure("\udc00"), "message"),
+        (lambda: RecordsHeader(GRID, 0.1, 0.1, "pro\ud800"), "producer"),
+    ],
+    ids=["op", "source", "manifest-id", "framework", "record-id", "crash", "compile", "producer"],
+)
+def test_model_types_refuse_lone_surrogates_as_ingest_does(build, key):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == f"{key} must not hold a lone surrogate"
+
+
+def test_from_source_accepts_a_surrogate_that_normalizing_drops(tmp_path):
+    # The rule applies to the text written, and a comment is not written.
+    digest = HashInput.from_source("x = y  # \ud800", [("add", [0])])
+    assert digest.normalized_source == "x = y"
+    manifest = make_manifest(graph_hash=graph_hash(digest), source_digest_inputs=digest)
+    assert roundtrip(manifest, tmp_path) == manifest
+
+
 def test_crash_record_without_compiled_time_is_valid():
     record = make_record(outcome=CompileFailure("nope"), compiled_time_s=None)
     assert record.compiled_time_s is None
@@ -252,9 +282,42 @@ def test_load_records_validation_errors_located(tmp_path):
         load_records(path)
 
 
+class JSONText(str):
+    """A value planted as this JSON text: ``json.dumps`` writes neither ``-0`` nor ``1e400``."""
+
+
+def _plant(path, lineno, where, value) -> None:
+    """Set ``where`` in the object on line ``lineno`` of ``path`` to ``value``."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    target = lines[lineno - 1]
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = "\0" if isinstance(value, JSONText) else value
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    path.write_text(text.replace('"\\u0000"', value) if isinstance(value, JSONText) else text)
+
+
+def _write_dataset(directory) -> tuple[Path, Path]:
+    """Manifests of samples a and b; records of a, completed, and b, crashed."""
+    m_path, r_path = directory / "m.jsonl", directory / "r.jsonl"
+    digest = HashInput.from_source("x1 = mul(x0)", [("mul", (0,))])
+    a = make_manifest("a", graph_hash=graph_hash(digest), source_digest_inputs=digest)
+    write_manifests(m_path, [a, make_manifest("b")])
+    crash = make_record("b", outcome=RuntimeCrash("x"), compiled_time_s=None)
+    write_records(r_path, HEADER, [make_record("a"), crash])
+    return m_path, r_path
+
+
+# Every loader of a file kind, including ``validate``'s audited manifests load.
+LOADERS = {
+    "m": [load_manifests, load_sample_groups, lambda path: load_sample_groups(path, [])],
+    "r": [load_records, load_score_rows],
+}
+
 # (file, line, where in that line's object, value, message): values of the
 # wrong JSON type, each rejected with its own located message.
 ENTRY = ("outcome", "comparisons", 0)
+TOPOLOGY = ("source_digest_inputs", "topology")
 WRONG_TYPES = [
     ("m", 1, ("operator_count",), True, "operator_count must be an integer"),
     ("m", 1, ("operator_count",), 3.0, "operator_count must be an integer"),
@@ -277,29 +340,82 @@ BAD_VALUES = [
     ("r", 2, ("warmup_iters",), -1, "warmup_iters must be >= 0, got -1"),
     ("r", 2, ("outcome", "kind"), "exploded", "unknown outcome kind 'exploded'"),
 ]
+# Faults that fail a checker's inline test, each worded by the field's helper
+# or by the model rules that the combined test hands it to.
+FALLBACK_FAULTS = [
+    ("m", 1, ("task_category",), [], "task_category must be a string"),
+    ("m", 1, ("dtypes",), [1, "\ud800"], "dtypes must be a list of kind names"),
+    ("m", 1, TOPOLOGY, [["\udc00", [0]], ["mul"]],
+     "topology must be a nonempty list of [op string, list of integer indices]"),
+    *[
+        ("r", 2, where, value, f"{where[-1]} must be a finite number")
+        for where in [("eager_time_s",), ("compiled_time_s",), (*ENTRY, "min_passing_t")]
+        for value in [math.nan, math.inf, JSONText("1e400"), 10**400]
+    ],
+    ("m", 1, ("graph_hash",), "xyz", "graph_hash must be a nonempty hex digest"),
+    ("m", 1, ("parameter_count",), -1, "parameter_count must be >= 0, got -1"),
+    ("r", 2, (*ENTRY, "tensor_index"), -1, "tensor_index must be >= 0, got -1"),
+    ("r", 2, ("outcome", "comparisons"), [], "completed outcome requires at least one comparison"),
+    ("r", 2, ("compiled_time_s",), None, "completed record requires compiled_time_s"),
+    ("r", 3, ("eager_time_s",), -1.0, "eager_time_s must be positive, got -1.0"),
+    ("r", 3, ("compiled_time_s",), 1.0, "compiled_time_s is only valid for completed records"),
+]
 
 
-@pytest.mark.parametrize("file, lineno, where, value, message", WRONG_TYPES + BAD_VALUES)
+def _short_id(value):
+    return "10**400" if value == 10**400 else None  # None keeps pytest's own id
+
+
+@pytest.mark.parametrize(
+    "file, lineno, where, value, message", WRONG_TYPES + BAD_VALUES + FALLBACK_FAULTS, ids=_short_id
+)
 def test_load_rejects_wrong_json_types_located(
     tmp_path, capsys, file, lineno, where, value, message
 ):
-    m_path, r_path = tmp_path / "m.jsonl", tmp_path / "r.jsonl"
-    digest = HashInput.from_source("x1 = mul(x0)", [("mul", (0,))])
-    write_manifests(
-        m_path, [make_manifest("a", graph_hash=graph_hash(digest), source_digest_inputs=digest)]
-    )
-    write_records(r_path, HEADER, [make_record("a")])
+    m_path, r_path = _write_dataset(tmp_path)
     path = {"m": m_path, "r": r_path}[file]
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    target = lines[lineno - 1]
-    for key in where[:-1]:
-        target = target[key]
-    target[where[-1]] = value
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    with pytest.raises(IngestError, match=rf"{file}\.jsonl:{lineno}: {re.escape(message)}\Z"):
-        (load_manifests if file == "m" else load_records)(path)
+    _plant(path, lineno, where, value)
+    for load in LOADERS[file]:
+        with pytest.raises(IngestError, match=rf"{file}\.jsonl:{lineno}: {re.escape(message)}\Z"):
+            load(path)
     assert main(["validate", "--manifests", str(m_path), "--records", str(r_path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+
+
+# (file, line, where, rare value, common twin): valid forms that a checker's
+# inline test hands to the field's helper. Each loads as its twin does; a
+# non-ASCII string loads as its ASCII twin but for that letter.
+CRASH = ("outcome", "message")
+RARE_FORMS = [
+    ("r", 2, ("eager_time_s",), 2, 2.0),
+    ("r", 2, ("compiled_time_s",), 1, 1.0),
+    ("r", 2, (*ENTRY, "min_passing_t"), -3, -3.0),
+    ("r", 2, (*ENTRY, "min_passing_t"), JSONText("-3.0"), -3.0),
+    ("r", 2, (*ENTRY, "min_passing_t"), JSONText("-0"), 0.0),
+    *[("r", lineno, where, "é", "e") for lineno, where in [
+        (1, ("producer",)), (2, ("sample_id",)), (2, (*ENTRY, "kind")), (3, CRASH)
+    ]],
+    *[("m", 1, where, "é", "e") for where in [
+        ("sample_id",), ("framework",), ("dtypes", 0),
+        ("source_digest_inputs", "normalized_source"), (*TOPOLOGY, 0, 0),
+    ]],
+]
+
+
+@pytest.mark.parametrize("file, lineno, where, value, twin", RARE_FORMS)
+def test_load_accepts_rare_forms_as_their_twins(tmp_path, capsys, file, lineno, where, value, twin):
+    m_path, r_path = _write_dataset(tmp_path)
+    path = {"m": m_path, "r": r_path}[file]
+    original = path.read_text()
+    loaded = []
+    for planted in (twin, value):
+        path.write_text(original)
+        _plant(path, lineno, where, planted)
+        results = [load(path) for load in LOADERS[file]]
+        results += [main(["validate", f"--{'manifests' if file == 'm' else 'records'}", str(path)])]
+        results += [capsys.readouterr()]
+        loaded.append(repr(results).replace("é", "e"))
+    assert loaded[1] == loaded[0]
 
 
 @pytest.mark.parametrize("kind", ["runtime_crash", "compile_failure"])
