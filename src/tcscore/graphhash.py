@@ -83,18 +83,23 @@ class HashInput:
     ``normalized_source`` must already be in normalized form: ``graph_hash``
     hashes it as given (build via ``from_source`` to guarantee that).
     ``topology`` lists operators in topological order as (op_type,
-    ordered input indices) pairs; lists and tuples hash alike.
+    ordered input indices) pairs; lists and tuples hash alike. Neither
+    the source nor an op name may hold a lone surrogate, which no output
+    could encode.
     """
 
     normalized_source: str
     topology: Topology
 
+    def __post_init__(self) -> None:
+        _refuse_surrogates(self.normalized_source, "normalized_source")
+        _refuse_surrogates("".join([op for op, _ in self.topology]), "topology")
+
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
         """Normalize raw source text; check and freeze the topology listing, as ingest does."""
         _check_topology(topology)
-        normalized = _refuse_surrogates(normalize_source(source), "normalized_source")
-        return cls(normalized, _freeze_topology(topology))
+        return cls(normalize_source(source), _freeze_topology(topology))
 
 
 def graph_hash(h: HashInput) -> str:

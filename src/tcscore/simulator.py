@@ -62,6 +62,8 @@ _OP_VOCAB = (
     "embedding",
 )
 _BINARY_OPS = frozenset({"matmul", "add", "mul"})
+# Graph depths are drawn from [3, _MAX_DEPTH]; _NODES covers every position below it.
+_MAX_DEPTH = 8
 _OUTPUT_LEN = 16
 # Samples per block: each block draws its random values as arrays and
 # scores its comparisons with one min_passing_tolerance call per kind.
@@ -267,7 +269,7 @@ def _simulate_block(
     timed = rng.integers(10, 101, size=n)
     fate = rng.random(n)
     log2_speedup = rng.normal(spec.speedup_law.log2_mean, spec.speedup_law.log2_stddev, size=n)
-    depth = rng.integers(3, 9, size=n)
+    depth = rng.integers(3, _MAX_DEPTH + 1, size=n)
     op_index = rng.integers(len(_OP_VOCAB), size=int(depth.sum()))
     outputs = len(kind_index)
     baseline = rng.uniform(0.5, 1.5, size=(outputs, _OUTPUT_LEN))
@@ -405,19 +407,22 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
+def _node(k: int, op: str) -> tuple[tuple[str, tuple[int, ...]], str]:
+    """Node ``k`` of a chain graph: its topology entry and its source statement."""
+    if op in _BINARY_OPS and k >= 2:
+        inputs: tuple[int, ...] = (k - 1, k - 2)
+    elif k >= 1:
+        inputs = (k - 1,)
+    else:
+        inputs = ()
+    args = ", ".join(f"x{j}" for j in inputs) or "x0"
+    return (op, inputs), f"x{k + 1} = {op}({args})"
+
+
+_NODES = {(k, op): _node(k, op) for k in range(_MAX_DEPTH) for op in _OP_VOCAB}
+
+
 def _synthesize_graph(sample_id: str, ops: list[str]) -> tuple[str, Topology]:
-    """A graph chaining ``ops``: its source, already normalized, and its topology."""
-    nodes = []
-    source = [f"def graph_{sample_id}(x0):"]
-    for k, op in enumerate(ops):
-        if op in _BINARY_OPS and k >= 2:
-            inputs: tuple[int, ...] = (k - 1, k - 2)
-        elif k >= 1:
-            inputs = (k - 1,)
-        else:
-            inputs = ()
-        nodes.append((op, inputs))
-        args = ", ".join(f"x{j}" for j in inputs) or "x0"
-        source.append(f"x{k + 1} = {op}({args})")
-    source.append(f"return x{len(nodes)}")
-    return " ".join(source), tuple(nodes)
+    """A graph chaining ``ops``, node by node from ``_NODES``: its normalized source and topology."""
+    topology, statements = zip(*[_NODES.get((k, op)) or _node(k, op) for k, op in enumerate(ops)])
+    return f"def graph_{sample_id}(x0): {' '.join(statements)} return x{len(ops)}", topology

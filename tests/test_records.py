@@ -132,8 +132,14 @@ def test_model_invariants_enforced():
         (lambda: RuntimeCrash("bo\ud800om"), "message"),
         (lambda: CompileFailure("\udc00"), "message"),
         (lambda: RecordsHeader(GRID, 0.1, 0.1, "pro\ud800"), "producer"),
+        # Built directly, not through from_source; graph_hash would raise UnicodeEncodeError.
+        (lambda: graph_hash(HashInput("x = \ud800", (("add", (0,)),))), "normalized_source"),
+        (lambda: graph_hash(HashInput("x", (("a\udc00", (0,)),))), "topology"),
     ],
-    ids=["op", "source", "manifest-id", "framework", "record-id", "crash", "compile", "producer"],
+    ids=[
+        "op", "source", "manifest-id", "framework", "record-id", "crash", "compile", "producer",
+        "direct-source", "direct-op",
+    ],
 )
 def test_model_types_refuse_lone_surrogates_as_ingest_does(build, key):
     with pytest.raises(ValueError) as caught:

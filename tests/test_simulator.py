@@ -26,6 +26,10 @@ from tcscore.simulator import (
     ErrorRates,
     Log2NormalLaw,
     SimSpec,
+    _MAX_DEPTH,
+    _NODES,
+    _OP_VOCAB,
+    _synthesize_graph,
     records_header,
     simulate,
 )
@@ -304,6 +308,38 @@ def test_simulated_sources_are_already_normalized():
     for m in manifests:
         source = m.source_digest_inputs.normalized_source
         assert normalize_source(source) == source
+
+
+def _graph_by_statement(sample_id: str, ops: list[str]) -> tuple[str, tuple]:
+    # The reference: the per-statement loop, formatting every statement of every graph.
+    nodes = []
+    source = [f"def graph_{sample_id}(x0):"]
+    for k, op in enumerate(ops):
+        if op in ("matmul", "add", "mul") and k >= 2:
+            inputs: tuple[int, ...] = (k - 1, k - 2)
+        elif k >= 1:
+            inputs = (k - 1,)
+        else:
+            inputs = ()
+        nodes.append((op, inputs))
+        args = ", ".join(f"x{j}" for j in inputs) or "x0"
+        source.append(f"x{k + 1} = {op}({args})")
+    source.append(f"return x{len(nodes)}")
+    return " ".join(source), tuple(nodes)
+
+
+# Lengths past _MAX_DEPTH reach positions the node table does not hold.
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.sampled_from(_OP_VOCAB), min_size=1, max_size=12))
+def test_synthesized_graph_matches_a_per_statement_build(ops):
+    assert _synthesize_graph("s00042", ops) == _graph_by_statement("s00042", ops)
+
+
+def test_synthesized_graph_literal_and_node_table_size():
+    source, topology = _synthesize_graph("s00007", ["add", "relu", "matmul"])
+    assert source == "def graph_s00007(x0): x1 = add(x0) x2 = relu(x0) x3 = matmul(x1, x0) return x3"
+    assert topology == (("add", ()), ("relu", (0,)), ("matmul", (1, 0)))
+    assert len(_NODES) <= _MAX_DEPTH * len(_OP_VOCAB)
 
 
 def test_end_to_end_pipeline_completes():
