@@ -1,7 +1,8 @@
 """Command-line interface: score, report, simulate, and validate datasets.
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
-Handlers import what only they use, so a call loads only its subcommand's modules.
+Handlers import what only they use, so a call loads only its subcommand's modules:
+only ``simulate`` loads numpy, the object model of ``tcscore.model`` and ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -9,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+from .macro import DEFAULT_CONFIG, ScoreConfig, join_samples, score_rows
 from .records import IngestError, file_writer, load_sample_groups, load_score_rows
-from .scoring import DEFAULT_CONFIG, ScoreConfig, join_samples, score_rows
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -179,7 +179,10 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .records import _encode_line, header_to_dict, manifest_to_dict, record_to_dict
+    from dataclasses import replace
+
+    from .model import manifest_to_dict, record_to_dict
+    from .records import _encode_line, header_to_dict
     from .simulator import SimSpec, records_header, simulate_blocks
 
     if Path(args.manifests).resolve() == Path(args.records).resolve():

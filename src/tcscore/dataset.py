@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .graphhash import graph_hash
-from .records import SampleGroup, SampleManifest, TaskCategory, file_writer, read_manifest_lines
+from .records import TaskCategory, file_writer, read_manifest_lines
+
+if TYPE_CHECKING:
+    from .model import SampleManifest
+    from .records import SampleGroup
 
 __all__ = ["StatsReport", "audit_hashes", "dedup", "dedup_file", "stats"]
 
@@ -74,8 +77,7 @@ def audit_hashes(manifests: Iterable[SampleManifest]) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     """Dataset composition: category breakdown and operator-count histograms.
 
     Histogram bin k covers operator counts in [2**k, 2**(k+1)); shares

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
-__all__ = ["HashInput", "Topology", "graph_hash", "normalize_source"]
+__all__ = ["HashInput", "Topology", "graph_digest", "graph_hash", "normalize_source"]
 
 Topology = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -76,8 +76,7 @@ def _freeze_topology(topology: Sequence) -> Topology:
     return tuple([(op, tuple(inputs)) for op, inputs in topology])
 
 
-@dataclass(frozen=True, slots=True)
-class HashInput:
+class HashInput(namedtuple("HashInput", "normalized_source topology")):
     """Canonical hashing inputs for one computational graph.
 
     ``normalized_source`` must already be in normalized form: ``graph_hash``
@@ -88,12 +87,12 @@ class HashInput:
     could encode.
     """
 
-    normalized_source: str
-    topology: Topology
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _refuse_surrogates(self.normalized_source, "normalized_source")
-        _refuse_surrogates("".join([op for op, _ in self.topology]), "topology")
+    def __new__(cls, normalized_source: str, topology: Topology) -> "HashInput":
+        _refuse_surrogates(normalized_source, "normalized_source")
+        _refuse_surrogates("".join([op for op, _ in topology]), "topology")
+        return tuple.__new__(cls, (normalized_source, topology))
 
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
@@ -103,14 +102,17 @@ class HashInput:
 
 
 def graph_hash(h: HashInput) -> str:
-    """Hex digest of the canonical byte encoding of a graph.
+    """Hex digest of the canonical byte encoding of a graph: ``graph_digest`` of its fields."""
+    return graph_digest(h.normalized_source, h.topology)
 
-    SHA-256 over the normalized source, a 0x1f separator, and the compact
-    JSON form of the topology. The source is trusted to be normalized, as
-    ``HashInput`` requires; it is not normalized again.
+
+def graph_digest(normalized_source: str, topology: Sequence) -> str:
+    """Hex SHA-256 of a graph's canonical bytes: the normalized source, a 0x1f
+    separator, and the compact JSON form of the topology. The source is
+    trusted to be normalized, as ``HashInput`` requires; it is not
+    normalized again.
     """
     import hashlib
 
-    topology = _encode_topology(h.topology)
-    payload = h.normalized_source.encode("utf-8") + b"\x1f" + topology.encode("utf-8")
+    payload = normalized_source.encode("utf-8") + b"\x1f" + _encode_topology(topology).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -1,10 +1,15 @@
-"""Manifest and run-record data model with line-delimited JSON ingestion.
+"""Line-delimited JSON ingestion of manifests and run records.
 
 A dataset is two files. The manifests file carries one JSON manifest per
 line. The records file starts with a header object declaring the
 tolerance grid and penalty settings its producer used, followed by one
 record per line. Loading validates every model invariant and reports
 problems as ``path:line: message``.
+
+Ingest keeps only what a command reads of each checked line: a
+``SampleGroup``, a ``ScoreRow`` or a graph hash. The object model that
+``load_manifests`` and ``load_records`` build lives in ``tcscore.model``;
+this module serves its names on first access.
 """
 
 from __future__ import annotations
@@ -14,41 +19,36 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .graphhash import (
-    HashInput, _check_topology, _freeze_topology, _refuse_surrogates, graph_hash, normalize_source
+from .graphhash import _check_topology, _refuse_surrogates, graph_digest, normalize_source
+
+if TYPE_CHECKING:
+    from .model import RunRecord, SampleManifest
+
+# The object model's names: ``tcscore.model`` defines them and this module serves them
+# on first access, so a caller that builds no model object never loads it.
+MODEL_NAMES = (
+    "CompileFailure", "Completed", "RunOutcome", "RunRecord", "RuntimeCrash", "SampleManifest",
+    "TensorComparison", "load_manifests", "load_records", "manifest_to_dict", "record_to_dict",
+    "score_row", "write_manifests", "write_records",
 )
-from .tolerance import ScalarKind
-
 __all__ = [
-    "CompileFailure",
-    "Completed",
-    "ErrorCode",
-    "IngestError",
-    "RecordsHeader",
-    "RunOutcome",
-    "RunRecord",
-    "RuntimeCrash",
-    "SampleGroup",
-    "ScoreRow",
-    "SampleManifest",
-    "TaskCategory",
-    "TensorComparison",
-    "file_writer",
-    "load_manifests",
-    "load_records",
-    "load_sample_groups",
-    "load_score_rows",
-    "read_manifest_lines",
-    "score_row",
-    "write_manifests",
-    "write_records",
+    "ErrorCode", "IngestError", "RecordsHeader", "SampleGroup", "ScoreRow", "TaskCategory", "file_writer",
+    "load_sample_groups", "load_score_rows", "read_manifest_lines", *MODEL_NAMES,
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in MODEL_NAMES:
+        from . import model
+
+        return getattr(model, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IngestError(ValueError):
@@ -76,23 +76,6 @@ _CATEGORIES = {category.value: category for category in TaskCategory}
 
 _HEX = "0123456789abcdefABCDEF"
 _MAX_FLOAT = sys.float_info.max
-
-
-@dataclass(frozen=True, slots=True)
-class SampleManifest:
-    """Static metadata for one computational-graph sample."""
-
-    sample_id: str
-    framework: str
-    task_category: TaskCategory
-    operator_count: int
-    graph_hash: str
-    dtypes: frozenset[ScalarKind] = frozenset()
-    parameter_count: int | None = None
-    source_digest_inputs: HashInput | None = None
-
-    def __post_init__(self) -> None:
-        _manifest_rules(self)
 
 
 # Each model type's value rules, called by its ``__post_init__`` and on ingest's checked line.
@@ -129,6 +112,11 @@ class ErrorCode(IntEnum):
         return t >= self.value
 
 
+# Each outcome kind a record may name, with the error code of a run that ends so.
+_OUTCOME_CODES = {"completed": None, "runtime_crash": ErrorCode.RUNTIME_CRASH,
+                  "compile_failure": ErrorCode.COMPILE_FAILURE}
+
+
 class ScoreRow(NamedTuple):
     """What scoring reads of a record: a completed run (``error_code``
     None) is correct at level t when ``passing``, its largest min_passing_t
@@ -141,80 +129,14 @@ class ScoreRow(NamedTuple):
     speedup: float | None
 
 
-@dataclass(frozen=True, slots=True)
-class TensorComparison:
-    """Per-output comparison summary at the record producer's grid.
-
-    ``min_passing_t`` is the smallest grid level the output pair passes;
-    None means the pair fails even at the loosest level.
-    """
-
-    tensor_index: int
-    kind: ScalarKind
-    min_passing_t: float | None
-
-    def __post_init__(self) -> None:
-        _comparison_rules(self.tensor_index)
-
-
 def _comparison_rules(tensor_index: int) -> None:
     if tensor_index < 0:
         raise ValueError(f"tensor_index must be >= 0, got {tensor_index}")
 
 
-@dataclass(frozen=True, slots=True)
-class Completed:
-    """Compiled run finished and its outputs were compared."""
-
-    kind: ClassVar[str] = "completed"
-    comparisons: tuple[TensorComparison, ...]
-
-    def __post_init__(self) -> None:
-        _completed_rules(self.comparisons)
-
-
 def _completed_rules(comparisons: Sequence[Any]) -> None:
     if not comparisons:
         raise ValueError("completed outcome requires at least one comparison")
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeCrash:
-    kind: ClassVar[str] = "runtime_crash"
-    error_code: ClassVar[ErrorCode] = ErrorCode.RUNTIME_CRASH
-    message: str = ""
-
-    def __post_init__(self) -> None:
-        _refuse_surrogates(self.message, "message")
-
-
-@dataclass(frozen=True, slots=True)
-class CompileFailure:
-    kind: ClassVar[str] = "compile_failure"
-    error_code: ClassVar[ErrorCode] = ErrorCode.COMPILE_FAILURE
-    message: str = ""
-
-    def __post_init__(self) -> None:
-        _refuse_surrogates(self.message, "message")
-
-
-RunOutcome = Completed | RuntimeCrash | CompileFailure
-_OUTCOMES = {outcome.kind: outcome for outcome in RunOutcome.__args__}
-
-
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    """One measured run of a sample: timings plus its outcome."""
-
-    sample_id: str
-    eager_time_s: float
-    outcome: RunOutcome
-    compiled_time_s: float | None = None
-    warmup_iters: int = 0
-    timed_iters: int = 1
-
-    def __post_init__(self) -> None:
-        _record_rules(self, isinstance(self.outcome, Completed))
 
 
 def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
@@ -243,22 +165,19 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
         raise ValueError(f"timed_iters must be >= 1, got {record.timed_iters}")
 
 
-@dataclass(frozen=True, slots=True)
-class RecordsHeader:
+class RecordsHeader(namedtuple("RecordsHeader", "grid p b producer")):
     """First line of a records file: settings shared by every record."""
 
-    grid: tuple[float, ...]
-    p: float
-    b: float
-    producer: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _refuse_surrogates(self.producer, "producer")
-        object.__setattr__(self, "grid", level_grid(self.grid))
-        check_penalties(self.p, self.b)
-        if 0.0 not in self.grid:
+    def __new__(cls, grid: Iterable[float], p: float, b: float, producer: str) -> RecordsHeader:
+        _refuse_surrogates(producer, "producer")
+        grid = level_grid(grid)
+        check_penalties(p, b)
+        if 0.0 not in grid:
             # `violin` and the default `score` read level 0.
             raise ValueError("grid must contain level 0")
+        return tuple.__new__(cls, (grid, p, b, producer))
 
 
 # The grid and penalty rules that the header, ``ScoreConfig`` and the tolerance scan share.
@@ -278,25 +197,6 @@ def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
 def check_penalties(p: float, b: float) -> None:
     if not 0 < p < 1 or not 0 < b < 1:
         raise ValueError("penalties p and b must lie in (0, 1)")
-
-
-def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
-    data: dict[str, Any] = {
-        "sample_id": manifest.sample_id,
-        "framework": manifest.framework,
-        "task_category": manifest.task_category.value,
-        "operator_count": manifest.operator_count,
-        "graph_hash": manifest.graph_hash,
-        "dtypes": sorted(kind.value for kind in manifest.dtypes),
-    }
-    if manifest.parameter_count is not None:
-        data["parameter_count"] = manifest.parameter_count
-    if manifest.source_digest_inputs is not None:
-        data["source_digest_inputs"] = {
-            "normalized_source": manifest.source_digest_inputs.normalized_source,
-            "topology": manifest.source_digest_inputs.topology,
-        }
-    return data
 
 
 class CheckedManifest(NamedTuple):
@@ -363,49 +263,17 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     _manifest_rules(checked)
     return checked
 
-def _build_manifest(m: CheckedManifest) -> SampleManifest:
-    digest = m.source_digest_inputs
-    if digest is not None:
-        source, topology = digest["normalized_source"], digest["topology"]
-        digest = HashInput(normalize_source(source), _freeze_topology(topology))
-    return SampleManifest(
-        m.sample_id, m.framework, m.task_category, m.operator_count, m.graph_hash,
-        frozenset(map(ScalarKind.from_name, m.dtypes)), m.parameter_count, digest,
-    )
-
-
-def record_to_dict(record: RunRecord) -> dict[str, Any]:
-    outcome = record.outcome
-    encoded: dict[str, Any] = {"kind": outcome.kind}
-    if isinstance(outcome, Completed):
-        encoded["comparisons"] = [
-            {"tensor_index": c.tensor_index, "kind": c.kind.value, "min_passing_t": c.min_passing_t}
-            for c in outcome.comparisons
-        ]
-    else:
-        encoded["message"] = outcome.message
-    data: dict[str, Any] = {
-        "sample_id": record.sample_id,
-        "eager_time_s": record.eager_time_s,
-        "outcome": encoded,
-        "warmup_iters": record.warmup_iters,
-        "timed_iters": record.timed_iters,
-    }
-    if record.compiled_time_s is not None:
-        data["compiled_time_s"] = record.compiled_time_s
-    return data
-
-
 class CheckedRecord(NamedTuple):
     """A record line's checked JSON values, named as ``RunRecord``'s fields.
 
-    The outcome is its type and ``detail``: the ``(tensor_index, kind
-    name, min_passing_t)`` comparisons of a completed run, else its message.
+    The outcome is its kind name and ``detail``: the ``(tensor_index,
+    kind name, min_passing_t)`` comparisons of a completed run, else its
+    message.
     """
 
     sample_id: str
     eager_time_s: float
-    outcome: type[RunOutcome]
+    outcome: str
     detail: list[tuple[int, str, float | None]] | str
     compiled_time_s: float | None
     warmup_iters: int
@@ -420,11 +288,11 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
     raw_outcome = data.get("outcome")
     if type(raw_outcome) is not dict:
         _expect_object(data, "outcome")
-    outcome_kind = raw_outcome.get("kind")
-    outcome = _OUTCOMES.get(outcome_kind) if type(outcome_kind) is str else None
-    if outcome is None:
+    outcome = raw_outcome.get("kind")
+    if type(outcome) is not str or outcome not in _OUTCOME_CODES:
         raise ValueError(f"unknown outcome kind {_expect_str(raw_outcome, 'kind')!r}")
-    if outcome is Completed:
+    completed = _OUTCOME_CODES[outcome] is None
+    if completed:
         comparisons = raw_outcome.get("comparisons")
         if type(comparisons) is not list:
             raise ValueError("completed outcome requires a comparisons list")
@@ -456,7 +324,7 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
         type(sample_id) is str and sample_id and sample_id.isascii()
         and type(eager) is float and 0 < eager <= _MAX_FLOAT
         and type(warmup) is int and warmup >= 0 and type(timed) is int and timed >= 1
-        and (compiled is None if outcome is not Completed else (
+        and (compiled is None if not completed else (
             type(compiled) is float and compiled > 0 and 0 < eager / compiled <= _MAX_FLOAT
         ))
     ):
@@ -470,23 +338,15 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
         _expect_int(data, "warmup_iters"),
         _expect_int(data, "timed_iters"),
     )
-    _record_rules(checked, outcome is Completed)
+    _record_rules(checked, completed)
     return checked
-
-def _build_record(r: CheckedRecord) -> RunRecord:
-    if r.outcome is Completed:
-        outcome = Completed(
-            tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in r.detail])
-        )
-    else:
-        outcome = r.outcome(r.detail)
-    return RunRecord(r.sample_id, r.eager_time_s, outcome, r.compiled_time_s, r.warmup_iters, r.timed_iters)
 
 
 def _build_score_row(r: CheckedRecord) -> ScoreRow:
     sample_id, eager, outcome, detail, compiled, _, _ = r
-    if outcome is not Completed:
-        return ScoreRow(sample_id, outcome.error_code, math.inf, None)
+    code = _OUTCOME_CODES[outcome]
+    if code is not None:
+        return ScoreRow(sample_id, code, math.inf, None)
     passing = -math.inf
     for _, _, t in detail:
         if t is None:
@@ -495,18 +355,6 @@ def _build_score_row(r: CheckedRecord) -> ScoreRow:
         if t > passing:
             passing = t
     return ScoreRow(sample_id, None, passing, eager / compiled)
-
-
-def score_row(record: RunRecord) -> ScoreRow:
-    """Reduce a record to the ``ScoreRow`` that ``load_score_rows`` builds from its line."""
-    outcome = record.outcome
-    detail = outcome.message if not isinstance(outcome, Completed) else [
-        (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
-    ]
-    return _build_score_row(CheckedRecord(
-        record.sample_id, record.eager_time_s, type(outcome), detail,
-        record.compiled_time_s, record.warmup_iters, record.timed_iters,
-    ))
 
 
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
@@ -536,11 +384,6 @@ def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     return _ingest_manifests(Path(path), lambda checked: checked.graph_hash)
 
 
-def load_manifests(path: str | Path) -> list[SampleManifest]:
-    """Load a manifests file: one JSON manifest per line, unique ids, at least one line."""
-    return [manifest for _, manifest in _ingest_manifests(Path(path), _build_manifest)]
-
-
 def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) -> list[SampleGroup]:
     """Load a manifests file keeping only each line's ``SampleGroup``.
 
@@ -552,25 +395,15 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
     """
 
     def build(m: CheckedManifest) -> SampleGroup:
-        digest = m.source_digest_inputs
-        if mismatched is not None and digest is not None:
+        inputs = m.source_digest_inputs
+        if mismatched is not None and inputs is not None:
             # Checked JSON lists encode as the tuples ``_build_manifest`` freezes.
-            inputs = HashInput(normalize_source(digest["normalized_source"]), digest["topology"])
-            if graph_hash(inputs) != m.graph_hash.lower():
+            source = normalize_source(inputs["normalized_source"])
+            if graph_digest(source, inputs["topology"]) != m.graph_hash.lower():
                 mismatched.append(m.sample_id)
-        return SampleGroup(m.sample_id, m.framework, m.task_category, m.operator_count)
+        return SampleGroup._make(m[:4])  # a group is a checked manifest's first four fields
 
     return [group for _, group in _ingest_manifests(Path(path), build)]
-
-
-def load_records(path: str | Path) -> tuple[RecordsHeader, list[RunRecord]]:
-    """Load a records file: the header line plus one record per line.
-
-    The header must pass ``RecordsHeader``'s rules, each min_passing_t
-    must be one of its levels t <= 0, and at least one record must follow.
-    Returns the parsed header together with the records in file order.
-    """
-    return _load_records(Path(path), _build_record)
 
 
 def load_score_rows(path: str | Path) -> tuple[RecordsHeader, list[ScoreRow]]:
@@ -598,23 +431,6 @@ def _load_records(path: Path, build: Callable[[CheckedRecord], _Item]) -> tuple[
         path, lines, lambda obj: _check_record(obj, grid), build, "no records after the header"
     )
     return header, [record for _, record in records]
-
-
-def write_manifests(path: str | Path, manifests: Iterable[SampleManifest]) -> None:
-    """Write manifests as canonical JSON lines (sorted keys, compact)."""
-    with file_writer(path) as write:
-        for manifest in manifests:
-            write(_encode_line(manifest_to_dict(manifest)) + "\n")
-
-
-def write_records(
-    path: str | Path, header: RecordsHeader, records: Iterable[RunRecord]
-) -> None:
-    """Write the header line followed by one record per line."""
-    with file_writer(path) as write:
-        write(_encode_line(header_to_dict(header)) + "\n")
-        for record in records:
-            write(_encode_line(record_to_dict(record)) + "\n")
 
 
 @contextmanager

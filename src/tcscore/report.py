@@ -14,11 +14,14 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
-from .records import RunRecord, SampleGroup, SampleManifest, ScoreRow, score_row
-from .scoring import CurvePoint, ScoreConfig, ScoreCurve, join_samples
+from .macro import join_samples
+from .records import ScoreRow
 
 if TYPE_CHECKING:
     from .dataset import StatsReport
+    from .macro import CurvePoint, ScoreConfig, ScoreCurve
+    from .model import RunRecord, SampleManifest
+    from .records import SampleGroup
 
 __all__ = [
     "level_row",
@@ -116,7 +119,11 @@ def violin_data(
     samples contribute nothing, but every group present in the manifests
     appears, possibly with an empty list.
     """
-    pairs = join_samples(manifests, [r if isinstance(r, ScoreRow) else score_row(r) for r in records])
+    if not all(isinstance(r, ScoreRow) for r in records):
+        from .model import score_row
+
+        records = [r if isinstance(r, ScoreRow) else score_row(r) for r in records]
+    pairs = join_samples(manifests, records)
     cfg.level(0.0)  # refuses a grid without level 0
     groups: dict[tuple[str, str], list[float]] = {}
     for manifest, row in pairs:

@@ -18,23 +18,13 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .graphhash import HashInput, Topology, graph_hash
-from .records import (
-    CompileFailure,
-    Completed,
-    RecordsHeader,
-    RunOutcome,
-    RunRecord,
-    RuntimeCrash,
-    SampleManifest,
-    TaskCategory,
-    TensorComparison,
-    _expect_int,
-    _expect_object,
-    _expect_real,
-    _expect_str,
-    level_grid,
+from .macro import ScoreConfig
+from .model import (
+    CompileFailure, Completed, RunOutcome, RunRecord, RuntimeCrash, SampleManifest, TensorComparison
 )
-from .scoring import ScoreConfig
+from .records import (
+    RecordsHeader, TaskCategory, _expect_int, _expect_object, _expect_real, _expect_str, level_grid
+)
 from .tolerance import ScalarKind, atol, rtol
 
 __all__ = [

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcscore
+import tcscore.model
 import tcscore.scoring
 from tcscore.cli import main
 from tcscore.graphhash import HashInput, _encode_topology, graph_hash
@@ -620,6 +621,26 @@ def test_score_rows_carry_each_outcome_types_error_code(tmp_path):
     write_records(path, HEADER, records)
     assert [row.error_code for row in load_score_rows(path)[1]] == expected
     assert [score_row(record).error_code for record in records] == expected
+
+
+def test_records_serves_the_model_names_from_the_model():
+    assert sorted(tcscore.records.MODEL_NAMES) == sorted(tcscore.model.__all__)
+    for name in tcscore.model.__all__:
+        assert getattr(tcscore.records, name) is getattr(tcscore.model, name)
+    # Every public class and function of the model is served.
+    defined = {
+        name for name, value in vars(tcscore.model).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == "tcscore.model"
+    }
+    assert defined <= set(tcscore.model.__all__)
+    assert tcscore.score_curve is tcscore.scoring.score_curve
+
+
+@pytest.mark.parametrize("module", [tcscore, tcscore.records], ids=["tcscore", "records"])
+def test_an_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'nope'"):
+        module.nope
+    assert not hasattr(module, "_build_manifest")
 
 
 def _record_lines(records):

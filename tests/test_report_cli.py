@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tcscore
+import tcscore.model
 import tcscore.records
 from tcscore.cli import main
 from tcscore.graphhash import HashInput, graph_hash, normalize_source
@@ -536,7 +537,7 @@ def test_cli_validate_normalizes_each_recorded_source_once(tmp_path, capsys, mon
         tcscore.records, "normalize_source", lambda text: calls.append(text) or normalize_source(text)
     )
     # validate builds no SampleManifest.
-    monkeypatch.setattr(tcscore.records, "_build_manifest", None)
+    monkeypatch.setattr(tcscore.model, "_build_manifest", None)
     m_path = tmp_path / "m.jsonl"
     for stored, code, err in [
         (normalized, 0, ""),
@@ -752,14 +753,16 @@ _SCORING_UNUSED = ("hashlib", "tcscore.dataset", "decimal")
         (["validate", "--manifests", "M", "--records", "R"],
          ("tcscore.report", "tcscore.dataset", "csv", "decimal")),
         (["score", "--records", "R"], _SCORING_UNUSED),
+        (["report", "--manifests", "M", "--records", "R"], ("hashlib", "tcscore.dataset")),
         (["curve", "--manifests", "M", "--records", "R", "--format", "json"], _SCORING_UNUSED),
         (["violin", "--manifests", "M", "--records", "R"], _SCORING_UNUSED),
     ],
-    ids=["import", "stats", "dedup", "validate", "score", "curve", "violin"],
+    ids=["import", "stats", "dedup", "validate", "score", "report", "curve", "violin"],
 )
 def test_command_leaves_unused_modules_unloaded(tmp_path, argv, unused):
-    # Only the simulator needs numpy; each other command, run in a fresh
-    # interpreter, also leaves unloaded the modules it never calls.
+    # Only the simulator needs numpy and builds the object model (and so
+    # loads dataclasses); each other command, run in a fresh interpreter,
+    # also leaves unloaded the modules it never calls.
     paths = {"M": tmp_path / "m.jsonl", "R": tmp_path / "r.jsonl", "OUT": tmp_path / "out.jsonl"}
     assert main(["simulate", "--seed", "3", "--n", "20", "--manifests", str(paths["M"]),
                  "--records", str(paths["R"])]) == 0
@@ -767,7 +770,8 @@ def test_command_leaves_unused_modules_unloaded(tmp_path, argv, unused):
     if argv is not None:
         argv = [str(paths.get(arg, arg)) for arg in argv]
         child += f"import tcscore.cli\nassert tcscore.cli.main({argv!r}) == 0\n"
-    child += f"print([m for m in {('numpy', *unused)!r} if m in sys.modules], file=sys.stderr)\n"
+    always = ("numpy", "dataclasses", "tcscore.model", "tcscore.scoring")
+    child += f"print([m for m in {(*always, *unused)!r} if m in sys.modules], file=sys.stderr)\n"
     result = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, env=_child_env()
     )

@@ -9,13 +9,17 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcscore.dataset import StatsReport
+from tcscore.graphhash import HashInput
 from tcscore.records import (
     CompileFailure,
     Completed,
     IngestError,
+    RecordsHeader,
     RunRecord,
     RuntimeCrash,
     SampleManifest,
+    ScoreRow,
     TaskCategory,
     TensorComparison,
     score_row,
@@ -23,6 +27,7 @@ from tcscore.records import (
 from tcscore.report import violin_data
 from tcscore.scoring import (
     ClassifiedSample,
+    CurvePoint,
     ErrorCode,
     ScoreComponents,
     ScoreConfig,
@@ -105,6 +110,37 @@ def test_classified_sample_is_slotted_and_frozen():
     assert not hasattr(sample, "__dict__")
     with pytest.raises(FrozenInstanceError):
         sample.speedup = 3.0
+
+
+_COMPONENTS = ScoreComponents(2.0, 0.5, 0.75, 0.25, 0.1, (1.0, 0.0, 0.0), 4, 3, 1, 1, (1, 0, 0))
+
+
+# The named-tuple value types keep what their frozen dataclasses promised.
+@pytest.mark.parametrize(
+    "build, hashable",
+    [
+        (lambda: RecordsHeader((-1, 0), 0.1, 0.2, "p"), True),
+        (lambda: ScoreConfig(0.2, 0.3, (-1, 0, 1)), True),
+        (lambda: ScoreComponents(2.0, 0.5, 0.75, 0.25, 0.1), True),
+        (lambda: CurvePoint(0.0, _COMPONENTS, 1.5, 1.5), True),
+        (lambda: score_rows([ScoreRow("a", None, 0.0, 2.0)], CFG), True),
+        (lambda: HashInput("x1 = add(x0)", (("add", (0,)),)), True),
+        (lambda: StatsReport(1, {"CV": 1}, {"CV": 100.0}, {"CV": {0: 1}}), False),  # dicts, as before
+    ],
+    ids=["RecordsHeader", "ScoreConfig", "ScoreComponents", "CurvePoint", "ScoreCurve", "HashInput",
+         "StatsReport"],
+)
+def test_value_types_refuse_assignment_and_hash_by_value(build, hashable):
+    value, twin = build(), build()
+    assert value == twin and value is not twin and not hasattr(value, "__dict__")
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(twin, field))
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def test_classify_correct_at_strictest_level():
