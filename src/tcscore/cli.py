@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 Handlers import what only they use, so a call loads only its subcommand's modules:
-only ``simulate`` loads numpy, the object model of ``tcscore.model`` and ``dataclasses``.
+only ``simulate`` loads numpy and ``dataclasses``, and no command loads the object model of
+``tcscore.model``: ``simulate`` writes the simulator's lines as they are drawn.
 """
 
 from __future__ import annotations
@@ -181,7 +182,6 @@ def _cmd_dedup(args) -> int:
 def _cmd_simulate(args) -> int:
     from dataclasses import replace
 
-    from .model import manifest_to_dict, record_to_dict
     from .records import _encode_line, header_to_dict
     from .simulator import SimSpec, records_header, simulate_blocks
 
@@ -201,11 +201,9 @@ def _cmd_simulate(args) -> int:
     # Write each block's lines and drop it: memory stays one block whatever the count.
     with file_writer(args.manifests) as put_manifests, file_writer(args.records) as put_records:
         put_records(_encode_line(header_to_dict(records_header(spec, cfg))) + "\n")
-        for manifests, records in simulate_blocks(spec, cfg):
-            for manifest in manifests:
-                put_manifests(_encode_line(manifest_to_dict(manifest)) + "\n")
-            for record in records:
-                put_records(_encode_line(record_to_dict(record)) + "\n")
+        for manifest_lines, record_lines in simulate_blocks(spec, cfg):
+            put_manifests("".join(manifest_lines))
+            put_records("".join(record_lines))
     print(
         f"wrote {spec.n_samples} manifests to {args.manifests}"
         f" and {spec.n_samples} records to {args.records}"

@@ -76,7 +76,21 @@ def _freeze_topology(topology: Sequence) -> Topology:
     return tuple([(op, tuple(inputs)) for op, inputs in topology])
 
 
-class HashInput(namedtuple("HashInput", "normalized_source topology")):
+class _CheckedTuple:
+    """Base of the named tuples whose constructor checks their fields.
+
+    A named tuple's ``_make``, and ``_replace``, which calls it, build the
+    tuple without its ``__new__``; here both go through the constructor.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class HashInput(_CheckedTuple, namedtuple("HashInput", "normalized_source topology")):
     """Canonical hashing inputs for one computational graph.
 
     ``normalized_source`` must already be in normalized form: ``graph_hash``
@@ -107,12 +121,19 @@ def graph_hash(h: HashInput) -> str:
 
 
 def graph_digest(normalized_source: str, topology: Sequence) -> str:
-    """Hex SHA-256 of a graph's canonical bytes: the normalized source, a 0x1f
-    separator, and the compact JSON form of the topology. The source is
-    trusted to be normalized, as ``HashInput`` requires; it is not
-    normalized again.
+    """Hex SHA-256 of a graph's canonical bytes: ``_text_digest`` of the
+    normalized source and the compact JSON form of the topology. The
+    source is trusted to be normalized, as ``HashInput`` requires; it is
+    not normalized again.
     """
+    return _text_digest(normalized_source, _encode_topology(topology))
+
+
+def _text_digest(normalized_source: str, topology_json: str) -> str:
+    """Hex SHA-256 of the normalized source, a 0x1f separator and the
+    topology's compact JSON text, each UTF-8 encoded: the one layout of a
+    graph's canonical bytes."""
     import hashlib
 
-    payload = normalized_source.encode("utf-8") + b"\x1f" + _encode_topology(topology).encode("utf-8")
+    payload = normalized_source.encode("utf-8") + b"\x1f" + topology_json.encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Sequence
 
+from .graphhash import _CheckedTuple
 from .records import ErrorCode, IngestError, check_penalties, level_grid
 
 if TYPE_CHECKING:
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 
-class ScoreConfig(namedtuple("ScoreConfig", "degradation_penalty failure_penalty grid")):
+class ScoreConfig(_CheckedTuple, namedtuple("ScoreConfig", "degradation_penalty failure_penalty grid")):
     """Scoring knobs: penalties and the ascending tolerance level grid."""
 
     __slots__ = ()
@@ -132,7 +133,7 @@ class CurvePoint(NamedTuple):
     error_aware_score: float
 
 
-class ScoreCurve(namedtuple("ScoreCurve", "points")):
+class ScoreCurve(_CheckedTuple, namedtuple("ScoreCurve", "points")):
     __slots__ = ()
 
     def __new__(cls, points: tuple[CurvePoint, ...]) -> ScoreCurve:

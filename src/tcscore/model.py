@@ -1,9 +1,9 @@
 """The object model: manifests, run records and their outcomes, as frozen dataclasses.
 
-``load_manifests`` and ``load_records`` build them from the values
-``tcscore.records`` checked, and the simulator builds them directly.
-``tcscore.records`` serves each name of ``MODEL_NAMES`` from here on first
-access, so a read command, which builds none, never loads ``dataclasses``.
+``load_manifests``, ``load_records`` and ``simulator.simulate`` build them
+from the values ``tcscore.records`` checked. ``tcscore.records`` serves
+each name of ``MODEL_NAMES`` from here on first access, so no command
+loads this module: none builds these objects.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, ClassVar, Iterable
 
 from .graphhash import HashInput, _freeze_topology, _refuse_surrogates, normalize_source
 from .records import (
-    MODEL_NAMES, _OUTCOME_CODES, CheckedManifest, CheckedRecord, ErrorCode, RecordsHeader, ScoreRow,
+    MODEL_NAMES, _OUTCOME_KINDS, CheckedManifest, CheckedRecord, ErrorCode, RecordsHeader, ScoreRow,
     TaskCategory, _build_score_row, _comparison_rules, _completed_rules, _encode_line,
     _ingest_manifests, _load_records, _manifest_rules, _record_rules, file_writer, header_to_dict,
 )
@@ -56,15 +56,11 @@ class TensorComparison:
         _comparison_rules(self.tensor_index)
 
 
-# Each outcome type's kind name, found by its error code.
-_KINDS = {code: kind for kind, code in _OUTCOME_CODES.items()}
-
-
 @dataclass(frozen=True, slots=True)
 class Completed:
     """Compiled run finished and its outputs were compared."""
 
-    kind: ClassVar[str] = _KINDS[None]
+    kind: ClassVar[str] = _OUTCOME_KINDS[None]
     comparisons: tuple[TensorComparison, ...]
 
     def __post_init__(self) -> None:
@@ -74,7 +70,7 @@ class Completed:
 @dataclass(frozen=True, slots=True)
 class RuntimeCrash:
     error_code: ClassVar[ErrorCode] = ErrorCode.RUNTIME_CRASH
-    kind: ClassVar[str] = _KINDS[error_code]
+    kind: ClassVar[str] = _OUTCOME_KINDS[error_code]
     message: str = ""
 
     def __post_init__(self) -> None:
@@ -84,7 +80,7 @@ class RuntimeCrash:
 @dataclass(frozen=True, slots=True)
 class CompileFailure:
     error_code: ClassVar[ErrorCode] = ErrorCode.COMPILE_FAILURE
-    kind: ClassVar[str] = _KINDS[error_code]
+    kind: ClassVar[str] = _OUTCOME_KINDS[error_code]
     message: str = ""
 
     def __post_init__(self) -> None:

@@ -25,7 +25,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .graphhash import _check_topology, _refuse_surrogates, graph_digest, normalize_source
+from .graphhash import _check_topology, _CheckedTuple, _refuse_surrogates, graph_digest, normalize_source
 
 if TYPE_CHECKING:
     from .model import RunRecord, SampleManifest
@@ -115,6 +115,8 @@ class ErrorCode(IntEnum):
 # Each outcome kind a record may name, with the error code of a run that ends so.
 _OUTCOME_CODES = {"completed": None, "runtime_crash": ErrorCode.RUNTIME_CRASH,
                   "compile_failure": ErrorCode.COMPILE_FAILURE}
+# Each outcome's kind name, by its error code.
+_OUTCOME_KINDS = {code: kind for kind, code in _OUTCOME_CODES.items()}
 
 
 class ScoreRow(NamedTuple):
@@ -165,7 +167,7 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
         raise ValueError(f"timed_iters must be >= 1, got {record.timed_iters}")
 
 
-class RecordsHeader(namedtuple("RecordsHeader", "grid p b producer")):
+class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b producer")):
     """First line of a records file: settings shared by every record."""
 
     __slots__ = ()
@@ -345,8 +347,9 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
 def _build_score_row(r: CheckedRecord) -> ScoreRow:
     sample_id, eager, outcome, detail, compiled, _, _ = r
     code = _OUTCOME_CODES[outcome]
+    # tuple.__new__ skips the named tuple's Python-level __new__, once per record line.
     if code is not None:
-        return ScoreRow(sample_id, code, math.inf, None)
+        return tuple.__new__(ScoreRow, (sample_id, code, math.inf, None))
     passing = -math.inf
     for _, _, t in detail:
         if t is None:
@@ -354,7 +357,7 @@ def _build_score_row(r: CheckedRecord) -> ScoreRow:
             break
         if t > passing:
             passing = t
-    return ScoreRow(sample_id, None, passing, eager / compiled)
+    return tuple.__new__(ScoreRow, (sample_id, None, passing, eager / compiled))
 
 
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:

@@ -11,21 +11,25 @@ turns output tensors into passing levels.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterator, Mapping, Sequence
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .graphhash import HashInput, Topology, graph_hash
+# graph_hash is not called here: it stays importable because the benchmark's tracer wraps it by name.
+from .graphhash import _encode_topology, _refuse_surrogates, _text_digest, graph_hash  # noqa: F401
 from .macro import ScoreConfig
-from .model import (
-    CompileFailure, Completed, RunOutcome, RunRecord, RuntimeCrash, SampleManifest, TensorComparison
-)
 from .records import (
-    RecordsHeader, TaskCategory, _expect_int, _expect_object, _expect_real, _expect_str, level_grid
+    _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _expect_int, _expect_object, _expect_real,
+    _expect_str, level_grid,
 )
 from .tolerance import ScalarKind, atol, rtol
+
+if TYPE_CHECKING:
+    from .model import RunRecord, SampleManifest
 
 __all__ = [
     "ErrorRates",
@@ -129,6 +133,10 @@ class SimSpec:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        # Every manifest carries the framework, so its one check runs here.
+        if not isinstance(self.framework, str):
+            raise ValueError("framework must be a string")
+        _refuse_surrogates(self.framework, "framework")
         if not self.category_mix:
             raise ValueError("category_mix must be nonempty")
         if any(w < 0 for w in self.category_mix.values()):
@@ -202,20 +210,31 @@ def simulate(spec: SimSpec, cfg: ScoreConfig) -> tuple[list[SampleManifest], lis
     Clean samples carry comparisons whose min_passing_t reflects the
     injected noise through the tolerance schedules; accuracy-violation
     samples carry comparisons that never pass; crashes and compile
-    failures carry the corresponding outcome and no compiled time.
+    failures carry the corresponding outcome and no compiled time. The
+    objects are read back from ``simulate_blocks``' lines through every
+    check that ingest runs on a file's lines.
     """
-    blocks = list(simulate_blocks(spec, cfg))
-    return [m for ms, _ in blocks for m in ms], [r for _, rs in blocks for r in rs]
+    from .model import _build_manifest, _build_record
+    from .records import _check_manifest, _check_record
+
+    grid = frozenset(t for t in cfg.grid if t <= 0)
+    manifests: list[SampleManifest] = []
+    records: list[RunRecord] = []
+    for manifest_lines, record_lines in simulate_blocks(spec, cfg):
+        manifests += [_build_manifest(_check_manifest(json.loads(line))) for line in manifest_lines]
+        records += [_build_record(_check_record(json.loads(line), grid)) for line in record_lines]
+    return manifests, records
 
 
-def simulate_blocks(
-    spec: SimSpec, cfg: ScoreConfig
-) -> Iterator[tuple[list[SampleManifest], list[RunRecord]]]:
-    """Yield ``simulate``'s output one block of ``BLOCK`` samples at a time.
+def simulate_blocks(spec: SimSpec, cfg: ScoreConfig) -> Iterator[tuple[list[str], list[str]]]:
+    """Yield the manifest and record lines of one block of ``BLOCK`` samples at a time.
 
-    The blocks, in order, concatenate to ``simulate(spec, cfg)``; see
-    ``_simulate_block`` for the order of the draws within a block. A law
-    whose draws leave float range raises when its block is drawn.
+    Each line is the newline-terminated canonical JSON text that
+    ``write_manifests`` and ``write_records`` write for the sample, so
+    the blocks' lines, in order, after a ``records_header`` line, are the
+    two files of ``tcscore simulate``. See ``_simulate_block`` for the
+    order of the draws within a block. A law whose draws leave float
+    range raises when its block is drawn.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     numeric_grid = tuple(t for t in cfg.grid if t <= 0)
@@ -224,13 +243,24 @@ def simulate_blocks(
         yield _simulate_block(rng, spec, numeric_grid, ids)
 
 
+# Each outcome's JSON text but a completed run's, whose comparisons vary.
+_FAILED = {
+    code: f'{{"kind":{_json_str(_OUTCOME_KINDS[code])},"message":{_json_str(message)}}}'
+    for code, message in (
+        (ErrorCode.COMPILE_FAILURE, "synthetic compile failure"),
+        (ErrorCode.RUNTIME_CRASH, "synthetic runtime crash"),
+    )
+}
+_COMPLETED = _json_str(_OUTCOME_KINDS[None])
+
+
 def _simulate_block(
     rng: np.random.Generator,
     spec: SimSpec,
     grid: tuple[float, ...],
     ids: range,
-) -> tuple[list[SampleManifest], list[RunRecord]]:
-    """Draw and score the samples numbered ``ids``.
+) -> tuple[list[str], list[str]]:
+    """Draw and score the samples numbered ``ids``; return their manifest and record lines.
 
     Every value is drawn as one array per block, in this order: category,
     log2 op count, parameter multiplier, output count, output kinds, eager
@@ -240,6 +270,10 @@ def _simulate_block(
     block, in sample order; speedups and outputs are drawn for every
     sample, whatever its fate. The comparisons are then scored with one
     ``min_passing_tolerance`` call per output kind.
+
+    Lines are formatted from the drawn values with their keys in sorted
+    order, floats as ``repr`` and strings escaped as ``json`` escapes
+    them; sample ids and graph sources need no escaping.
     """
     n = len(ids)
     categories = list(spec.category_mix)
@@ -272,7 +306,7 @@ def _simulate_block(
         compiled_time = eager / 2.0**log2_speedup
         magnitude = np.array([spec.noise_law[k] for k in kinds])[kind_index] * 10.0**exponent
         recorded_speedup = eager / compiled_time
-    # Extreme laws overflow or underflow; RunRecord needs eager / compiled
+    # Extreme laws overflow or underflow; a record needs eager / compiled
     # to be finite and positive.
     for key, in_range in (
         ("opcount_law", np.isfinite(opcount)),
@@ -297,49 +331,49 @@ def _simulate_block(
         for row, level in zip(rows.tolist(), passing):
             levels[row] = level
 
-    output_kinds = [kinds[k] for k in kind_index.tolist()]
+    framework = _json_str(spec.framework)
+    category_names = [_json_str(c.value) for c in categories]
+    kind_values = [k.value for k in kinds]
+    kind_names = list(map(_json_str, kind_values))
+    output_kinds = kind_index.tolist()
+    level_texts = ["null" if level is None else repr(level) for level in levels]
     op_names = [_OP_VOCAB[o] for o in op_index.tolist()]
     columns = (category, opcount, multiplier, output_count, eager, warmup, timed, fate, compiled_time, depth)
-    manifests: list[SampleManifest] = []
-    records: list[RunRecord] = []
+    manifest_lines: list[str] = []
+    record_lines: list[str] = []
     first_output = first_op = 0
     for i, cat, ops, mult, count, eager_s, warm, iters, fate_i, compiled_s, size in zip(
         ids, *(column.tolist() for column in columns)
     ):
         sample_id = f"s{i:05d}"
         sample_kinds = output_kinds[first_output : first_output + count]
+        dtypes = ",".join(map(_json_str, sorted({kind_values[k] for k in sample_kinds})))
         operator_count = max(1, int(ops))
         source, topology = _synthesize_graph(sample_id, op_names[first_op : first_op + size])
-        digest_inputs = HashInput(source, topology)
-        manifests.append(
-            SampleManifest(
-                sample_id=sample_id,
-                framework=spec.framework,
-                task_category=categories[cat],
-                operator_count=operator_count,
-                graph_hash=graph_hash(digest_inputs),
-                dtypes=frozenset(sample_kinds),
-                parameter_count=operator_count * mult,
-                source_digest_inputs=digest_inputs,
-            )
+        manifest_lines.append(
+            f'{{"dtypes":[{dtypes}],"framework":{framework},"graph_hash":"{_text_digest(source, topology)}",'
+            f'"operator_count":{operator_count},"parameter_count":{operator_count * mult},'
+            f'"sample_id":"{sample_id}","source_digest_inputs":{{"normalized_source":"{source}",'
+            f'"topology":{topology}}},"task_category":{category_names[cat]}}}\n'
         )
-        compiled = None
-        if fate_i < rates.compile_failure:
-            outcome: RunOutcome = CompileFailure("synthetic compile failure")
-        elif fate_i < crash_below:
-            outcome = RuntimeCrash("synthetic runtime crash")
+        if fate_i < crash_below:
+            code = ErrorCode.COMPILE_FAILURE if fate_i < rates.compile_failure else ErrorCode.RUNTIME_CRASH
+            timing, outcome = "", _FAILED[code]
         else:
-            outcome = Completed(
-                tuple(
-                    TensorComparison(index, kind, levels[first_output + index])
-                    for index, kind in enumerate(sample_kinds)
-                )
-            )
-            compiled = compiled_s
-        records.append(RunRecord(sample_id, eager_s, outcome, compiled, warm, iters))
+            comparisons = ",".join([
+                f'{{"kind":{kind_names[k]},"min_passing_t":{level_texts[first_output + index]},'
+                f'"tensor_index":{index}}}'
+                for index, k in enumerate(sample_kinds)
+            ])
+            timing = f'"compiled_time_s":{compiled_s!r},'
+            outcome = f'{{"comparisons":[{comparisons}],"kind":{_COMPLETED}}}'
+        record_lines.append(
+            f'{{{timing}"eager_time_s":{eager_s!r},"outcome":{outcome},"sample_id":"{sample_id}",'
+            f'"timed_iters":{iters},"warmup_iters":{warm}}}\n'
+        )
         first_output += count
         first_op += size
-    return manifests, records
+    return manifest_lines, record_lines
 
 
 def min_passing_tolerance(
@@ -397,8 +431,8 @@ def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
-def _node(k: int, op: str) -> tuple[tuple[str, tuple[int, ...]], str]:
-    """Node ``k`` of a chain graph: its topology entry and its source statement."""
+def _node(k: int, op: str) -> tuple[str, str]:
+    """Node ``k`` of a chain graph: its topology entry as compact JSON, and its source statement."""
     if op in _BINARY_OPS and k >= 2:
         inputs: tuple[int, ...] = (k - 1, k - 2)
     elif k >= 1:
@@ -406,13 +440,14 @@ def _node(k: int, op: str) -> tuple[tuple[str, tuple[int, ...]], str]:
     else:
         inputs = ()
     args = ", ".join(f"x{j}" for j in inputs) or "x0"
-    return (op, inputs), f"x{k + 1} = {op}({args})"
+    return _encode_topology((op, inputs)), f"x{k + 1} = {op}({args})"
 
 
 _NODES = {(k, op): _node(k, op) for k in range(_MAX_DEPTH) for op in _OP_VOCAB}
 
 
-def _synthesize_graph(sample_id: str, ops: list[str]) -> tuple[str, Topology]:
-    """A graph chaining ``ops``, node by node from ``_NODES``: its normalized source and topology."""
-    topology, statements = zip(*[_NODES.get((k, op)) or _node(k, op) for k, op in enumerate(ops)])
-    return f"def graph_{sample_id}(x0): {' '.join(statements)} return x{len(ops)}", topology
+def _synthesize_graph(sample_id: str, ops: list[str]) -> tuple[str, str]:
+    """A graph chaining ``ops``, node by node from ``_NODES``: its normalized
+    source and its topology's compact JSON text, as ``graph_digest`` encodes it."""
+    entries, statements = zip(*[_NODES.get((k, op)) or _node(k, op) for k, op in enumerate(ops)])
+    return f"def graph_{sample_id}(x0): {' '.join(statements)} return x{len(ops)}", f"[{','.join(entries)}]"

@@ -31,6 +31,7 @@ from tcscore.records import (
     RuntimeCrash,
     SampleGroup,
     SampleManifest,
+    ScoreRow,
     TaskCategory,
     TensorComparison,
     load_manifests,
@@ -48,7 +49,7 @@ from tcscore.records import (
     _read_json_lines,
     header_to_dict,
 )
-from tcscore.scoring import DEFAULT_CONFIG, ScoreConfig
+from tcscore.scoring import DEFAULT_CONFIG, ScoreConfig, score_rows
 from tcscore.simulator import SimSpec, min_passing_tolerance, simulate
 from tcscore.tolerance import ScalarKind
 
@@ -570,10 +571,37 @@ def test_records_header_refuses_each_rule(grid, p, b, message):
         assert _refusal(min_passing_tolerance, [[1.0]], [[1.0]], ScalarKind.FLOAT32, grid) == message
 
 
-def _refusal(build, *args):
+def _refusal(build, *args, **kwargs):
     with pytest.raises(ValueError) as caught:
-        build(*args)
+        build(*args, **kwargs)
     return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "value, changes, message",
+    [
+        (RecordsHeader((-1.0, 0.0), 0.1, 0.1, "test"), {"grid": (1.0,)}, "grid must contain level 0"),
+        (ScoreConfig(), {"failure_penalty": 2.0}, "penalties p and b must lie in (0, 1)"),
+        (
+            score_rows([ScoreRow("a", None, 0.0, 2.0)], DEFAULT_CONFIG, (0.0,)),
+            {"points": ()},
+            "a score curve needs at least one point",
+        ),
+        (
+            HashInput("x", (("a", ()),)),
+            {"topology": (("a\udc00", ()),)},
+            "topology must not hold a lone surrogate",
+        ),
+    ],
+    ids=["RecordsHeader", "ScoreConfig", "ScoreCurve", "HashInput"],
+)
+def test_checked_tuples_replace_and_make_through_their_constructor(value, changes, message):
+    # A plain named tuple's _make, which its _replace calls, skips __new__ and its checks.
+    cls = type(value)
+    assert value._replace() == value and cls._make(value) == value
+    assert type(cls._make(value)) is cls
+    assert _refusal(value._replace, **changes) == message
+    assert _refusal(cls._make, {**value._asdict(), **changes}.values()) == message
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import tcscore.simulator
 from tcscore.cli import main
-from tcscore.graphhash import normalize_source
+from tcscore.graphhash import _encode_topology, normalize_source
 from tcscore.records import Completed, CompileFailure, RuntimeCrash, TaskCategory
 from tcscore.scoring import ScoreConfig, score_curve
 from tcscore.simulator import (
@@ -310,8 +310,9 @@ def test_simulated_sources_are_already_normalized():
         assert normalize_source(source) == source
 
 
-def _graph_by_statement(sample_id: str, ops: list[str]) -> tuple[str, tuple]:
-    # The reference: the per-statement loop, formatting every statement of every graph.
+def _graph_by_statement(sample_id: str, ops: list[str]) -> tuple[str, str]:
+    # The reference: the per-statement loop, formatting every statement of every graph
+    # and encoding the whole topology as graph_digest does.
     nodes = []
     source = [f"def graph_{sample_id}(x0):"]
     for k, op in enumerate(ops):
@@ -325,7 +326,7 @@ def _graph_by_statement(sample_id: str, ops: list[str]) -> tuple[str, tuple]:
         args = ", ".join(f"x{j}" for j in inputs) or "x0"
         source.append(f"x{k + 1} = {op}({args})")
     source.append(f"return x{len(nodes)}")
-    return " ".join(source), tuple(nodes)
+    return " ".join(source), _encode_topology(tuple(nodes))
 
 
 # Lengths past _MAX_DEPTH reach positions the node table does not hold.
@@ -338,7 +339,7 @@ def test_synthesized_graph_matches_a_per_statement_build(ops):
 def test_synthesized_graph_literal_and_node_table_size():
     source, topology = _synthesize_graph("s00007", ["add", "relu", "matmul"])
     assert source == "def graph_s00007(x0): x1 = add(x0) x2 = relu(x0) x3 = matmul(x1, x0) return x3"
-    assert topology == (("add", ()), ("relu", (0,)), ("matmul", (1, 0)))
+    assert topology == '[["add",[]],["relu",[0]],["matmul",[1,0]]]'
     assert len(_NODES) <= _MAX_DEPTH * len(_OP_VOCAB)
 
 
@@ -353,19 +354,63 @@ def _cli_outputs(directory: Path) -> list[str]:
     return ["--manifests", str(directory / "m.jsonl"), "--records", str(directory / "r.jsonl")]
 
 
+# Frameworks whose JSON needs escapes: non-ASCII, a quote, a backslash and control characters.
+_FRAMEWORKS = st.sampled_from(
+    ["synthetic", "tést", 'a"b', "a\\b", "a\nb\x00\x1f\x7f", "\u2028\U0001f600"]
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# Quarters summing to at most 1: every rate may be 0, and the failures may take every sample.
+_RATES = st.tuples(*[st.integers(0, 4)] * 3).filter(lambda quarters: sum(quarters) <= 4)
+# Scoring flags of `simulate`, with the config they set.
+_SCORING = st.sampled_from([
+    ((), CFG),
+    (("--grid=-3,-1,0,2", "--p", "0.25", "--b", "0.5"), ScoreConfig(0.25, 0.5, (-3, -1, 0, 2))),
+    (("--grid=0", "--b", "0.9"), ScoreConfig(0.1, 0.9, (0,))),
+])
+
+
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1))
-def test_cli_streams_the_bytes_the_library_writes(n, seed):
-    spec = SimSpec(seed=seed, n_samples=n)
+@given(seed=st.integers(0, 2**64 - 1), framework=_FRAMEWORKS, quarters=_RATES, scoring=_SCORING)
+def test_cli_streams_the_bytes_the_library_writes(n, seed, framework, quarters, scoring):
+    # The CLI writes the simulator's lines; the library reads its objects back from them.
+    rates = dict(zip(("accuracy_violation", "runtime_crash", "compile_failure"), (q / 4 for q in quarters)))
+    spec = SimSpec(seed=seed, n_samples=n, framework=framework, error_rates=ErrorRates(**rates))
+    flags, cfg = scoring
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        assert main(["simulate", "--seed", str(seed), "--n", str(n), *_cli_outputs(directory)]) == 0
-        manifests, records = simulate(spec, CFG)
+        spec_path = directory / "spec.json"
+        spec_path.write_text(json.dumps({"framework": framework, "error_rates": rates}))
+        argv = ["simulate", "--spec", str(spec_path), "--seed", str(seed), "--n", str(n), *flags]
+        assert main([*argv, *_cli_outputs(directory)]) == 0
+        manifests, records = simulate(spec, cfg)
+        assert {m.framework for m in manifests} == {framework}
         write_manifests(directory / "lib_m.jsonl", manifests)
-        write_records(directory / "lib_r.jsonl", records_header(spec, CFG), records)
+        write_records(directory / "lib_r.jsonl", records_header(spec, cfg), records)
         for streamed, written in (("m.jsonl", "lib_m.jsonl"), ("r.jsonl", "lib_r.jsonl")):
             assert (directory / streamed).read_bytes() == (directory / written).read_bytes()
+        assert main(["validate", *_cli_outputs(directory)]) == 0
+
+
+@pytest.mark.parametrize(
+    "framework, message",
+    [(5, "framework must be a string"), ("x\ud800", "framework must not hold a lone surrogate")],
+)
+def test_spec_refuses_a_framework_no_manifest_can_carry(framework, message):
+    with pytest.raises(ValueError) as caught:
+        SimSpec(framework=framework)
+    assert str(caught.value) == message
+
+
+def test_cli_simulate_refuses_a_spec_framework_with_a_lone_surrogate(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"framework": "\ud800"}))
+    (tmp_path / "m.jsonl").write_bytes(b"old\n")
+    assert main(["simulate", "--spec", str(spec), *_cli_outputs(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {spec}: framework must not hold a lone surrogate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "spec.json"]
+    assert (tmp_path / "m.jsonl").read_bytes() == b"old\n"
 
 
 def test_cli_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
