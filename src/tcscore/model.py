@@ -53,7 +53,7 @@ class TensorComparison:
     min_passing_t: float | None
 
     def __post_init__(self) -> None:
-        _comparison_rules(self.tensor_index)
+        _comparison_rules(self.tensor_index, self.min_passing_t)
 
 
 @dataclass(frozen=True, slots=True)

@@ -84,10 +84,9 @@ def _manifest_rules(manifest: SampleManifest | CheckedManifest) -> None:
     _refuse_surrogates(manifest.framework, "framework")
     if not manifest.sample_id:
         raise ValueError("sample_id must be nonempty")
-    if manifest.operator_count < 1:
-        raise ValueError(f"operator_count must be >= 1, got {manifest.operator_count}")
-    if manifest.parameter_count is not None and manifest.parameter_count < 0:
-        raise ValueError(f"parameter_count must be >= 0, got {manifest.parameter_count}")
+    _count_rules(manifest.operator_count, "operator_count", 1)
+    if manifest.parameter_count is not None:
+        _count_rules(manifest.parameter_count, "parameter_count", 0)
     if not manifest.graph_hash or manifest.graph_hash.strip(_HEX):
         raise ValueError("graph_hash must be a nonempty hex digest")
 
@@ -131,9 +130,12 @@ class ScoreRow(NamedTuple):
     speedup: float | None
 
 
-def _comparison_rules(tensor_index: int) -> None:
-    if tensor_index < 0:
-        raise ValueError(f"tensor_index must be >= 0, got {tensor_index}")
+def _comparison_rules(tensor_index: int, level: float | None) -> None:
+    _count_rules(tensor_index, "tensor_index", 0)
+    if level is not None:
+        _real_rules(level, "min_passing_t")
+        if level > 0:
+            raise ValueError(f"min_passing_t must be <= 0, got {level}")
 
 
 def _completed_rules(comparisons: Sequence[Any]) -> None:
@@ -146,6 +148,7 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
     _refuse_surrogates(record.sample_id, "sample_id")
     if not record.sample_id:
         raise ValueError("sample_id must be nonempty")
+    _real_rules(eager, "eager_time_s")
     if not eager > 0:
         raise ValueError(f"eager_time_s must be positive, got {eager}")
     if completed and compiled is None:
@@ -153,6 +156,7 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
     if not completed and compiled is not None:
         raise ValueError("compiled_time_s is only valid for completed records")
     if compiled is not None:
+        _real_rules(compiled, "compiled_time_s")
         if not compiled > 0:
             raise ValueError(f"compiled_time_s must be positive, got {compiled}")
         speedup = eager / compiled
@@ -161,10 +165,24 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
                 "speedup eager_time_s / compiled_time_s must be finite and"
                 f" positive, got {speedup}"
             )
-    if record.warmup_iters < 0:
-        raise ValueError(f"warmup_iters must be >= 0, got {record.warmup_iters}")
-    if record.timed_iters < 1:
-        raise ValueError(f"timed_iters must be >= 1, got {record.timed_iters}")
+    _count_rules(record.warmup_iters, "warmup_iters", 0)
+    _count_rules(record.timed_iters, "timed_iters", 1)
+
+
+# The numeric field rules, in ingest's words. On a file line the ``_expect_*`` checks run
+# first, so only a value built directly can fail the type tests here.
+def _count_rules(value: int, key: str, least: int) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer")
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+
+
+def _real_rules(value: float, key: str) -> None:
+    if not _is_real(value):
+        raise ValueError(f"{key} must be a finite number")
+    if float(value) != value:  # ingest reads a number as a float, which would change this integer
+        raise ValueError(f"{key} {value} is not exact as a float")
 
 
 class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b producer")):
@@ -313,7 +331,7 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
                     )
             if not (type(tensor_index) is int and tensor_index >= 0 and type(kind) is str and kind.isascii()):
                 tensor_index, kind = _expect_int(c, "tensor_index"), _expect_str(c, "kind")
-                _comparison_rules(tensor_index)
+                _comparison_rules(tensor_index, level)
             detail.append((tensor_index, kind, level))
         _completed_rules(detail)
     else:

@@ -389,10 +389,10 @@ def min_passing_tolerance(
     matches NaN, infinities agree in sign, per component) and then takes
     no part in the check; otherwise its row never passes.
 
-    ``grid`` must be a nonempty ``level_grid`` with all levels <= 0. Both
-    thresholds are nondecreasing in t, so passing is monotone: one
-    ascending walk over the levels settles every row, dropping the rows
-    that pass at each level.
+    ``grid`` must be a nonempty ``level_grid`` with all levels <= 0. One
+    walk from the loosest level down marks every passing row with the
+    level's index, so a row's last mark is its strictest passing level; a
+    row never marked, or holding an unmatched non-finite pair, gets None.
     """
     lhs = np.asarray(x)
     rhs = np.asarray(y)
@@ -408,23 +408,17 @@ def min_passing_tolerance(
 
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     matched = _nan_equal(lhs.real, rhs.real) & _nan_equal(lhs.imag, rhs.imag)
+    comparable = np.all(finite | matched, axis=1)
     # Matched non-finite pairs become 0 against 0, which passes at every level.
     lhs, rhs = np.where(finite, lhs, 0), np.where(finite, rhs, 0)
     diff = np.abs(lhs - rhs)
     magnitude = np.abs(rhs)
-    passing: list[float | None] = [None] * len(lhs)
-    pending = np.flatnonzero(np.all(finite | matched, axis=1))
-    diff, magnitude = diff[pending], magnitude[pending]
-    for t in levels:
-        if not pending.size:
-            break
+    strictest = np.full(len(lhs), len(levels))
+    for i, t in reversed(list(enumerate(levels))):
         bound = atol(kind, t) + rtol(kind, t) * magnitude
-        passed = np.all(diff <= bound, axis=1)
-        for row in pending[passed].tolist():
-            passing[row] = t
-        failing = ~passed
-        pending, diff, magnitude = pending[failing], diff[failing], magnitude[failing]
-    return passing
+        strictest[comparable & np.all(diff <= bound, axis=1)] = i
+    passing = [*levels, None]
+    return [passing[i] for i in strictest.tolist()]
 
 
 def _nan_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

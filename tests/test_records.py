@@ -149,6 +149,64 @@ def test_model_types_refuse_lone_surrogates_as_ingest_does(build, key):
     assert str(caught.value) == f"{key} must not hold a lone surrogate"
 
 
+# Each numeric field of the model, built with a value in place of a valid one.
+NUMERIC_FIELDS = {
+    "operator_count": lambda v: make_manifest(operator_count=v),
+    "parameter_count": lambda v: make_manifest(parameter_count=v),
+    "eager_time_s": lambda v: make_record(eager_time_s=v, outcome=RuntimeCrash("x"), compiled_time_s=None),
+    "compiled_time_s": lambda v: make_record(compiled_time_s=v),
+    "warmup_iters": lambda v: make_record(warmup_iters=v),
+    "timed_iters": lambda v: make_record(timed_iters=v),
+    "tensor_index": lambda v: make_record(outcome=Completed((TensorComparison(v, ScalarKind.FLOAT32, -1.0),))),
+    "min_passing_t": lambda v: make_record(levels=(v,)),
+}
+
+
+@given(st.sampled_from(sorted(NUMERIC_FIELDS)), st.integers() | st.floats() | st.booleans())
+@example("operator_count", math.inf)
+@example("operator_count", 2.5)
+@example("operator_count", True)
+@example("parameter_count", 1e300)
+@example("eager_time_s", math.inf)
+@example("eager_time_s", 2**53 + 1)
+@example("warmup_iters", 1.5)
+@example("min_passing_t", math.nan)
+@example("min_passing_t", 1.0)
+@example("min_passing_t", -(2**53) - 1)
+@settings(max_examples=300)
+def test_model_types_build_only_numbers_their_loaders_load(tmp_path_factory, field, value):
+    try:
+        built = NUMERIC_FIELDS[field](value)
+    except ValueError:
+        return
+    directory = tmp_path_factory.mktemp("rt")
+    if field != "min_passing_t" or value is None:
+        assert roundtrip(built, directory) == built
+        return
+    # A level must be on the header's grid; the producer declares the levels it measured.
+    path = directory / "r.jsonl"
+    write_records(path, HEADER._replace(grid=sorted({*GRID, value})), [built])
+    assert load_records(path)[1] == [built]
+
+
+def test_model_types_refuse_numbers_with_ingests_messages():
+    cases = [
+        (lambda: make_manifest(operator_count=math.inf), "operator_count must be an integer"),
+        (lambda: make_manifest(parameter_count=True), "parameter_count must be an integer"),
+        (lambda: make_record(eager_time_s=math.nan), "eager_time_s must be a finite number"),
+        (lambda: make_record(compiled_time_s=True), "compiled_time_s must be a finite number"),
+        (lambda: make_record(timed_iters=1.0), "timed_iters must be an integer"),
+        (lambda: TensorComparison(0.0, ScalarKind.FLOAT32, None), "tensor_index must be an integer"),
+        (lambda: TensorComparison(0, ScalarKind.FLOAT32, math.nan), "min_passing_t must be a finite number"),
+        (lambda: TensorComparison(0, ScalarKind.FLOAT32, 1.0), "min_passing_t must be <= 0, got 1.0"),
+        (lambda: make_record(eager_time_s=2**53 + 1), "eager_time_s 9007199254740993 is not exact as a float"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 def test_from_source_accepts_a_surrogate_that_normalizing_drops(tmp_path):
     # The rule applies to the text written, and a comment is not written.
     digest = HashInput.from_source("x = y  # \ud800", [("add", [0])])
@@ -516,9 +574,11 @@ def test_load_records_rejects_off_grid_level(tmp_path):
 
 @pytest.mark.parametrize("level", [1.0, 3.0])
 def test_validate_refuses_a_forgiveness_level_as_min_passing_t(tmp_path, capsys, level):
-    # HEADER lists the forgiveness levels 1-4, but a comparison passes only at t <= 0.
+    # HEADER lists the forgiveness levels 1-4, but a comparison passes only at t <= 0. The
+    # model refuses such a level too, so the line is written as text.
     path = tmp_path / "r.jsonl"
-    write_records(path, HEADER, [make_record("a"), make_record("b", levels=(-4.0, level))])
+    write_records(path, HEADER, [make_record("a"), make_record("b", levels=(-4.0, -1.0))])
+    path.write_text(path.read_text().replace('"min_passing_t":-1.0', f'"min_passing_t":{level}'))
     message = f"{path}:3: min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
     with pytest.raises(IngestError) as caught:
         load_records(path)
@@ -661,7 +721,9 @@ def test_records_serves_the_model_names_from_the_model():
         if not name.startswith("_") and getattr(value, "__module__", None) == "tcscore.model"
     }
     assert defined <= set(tcscore.model.__all__)
-    assert tcscore.score_curve is tcscore.scoring.score_curve
+    # The top-level scorer is the route every command takes; the per-sample oracle stays in scoring.
+    assert tcscore.score_rows is tcscore.macro.score_rows
+    assert not hasattr(tcscore, "score_curve")
 
 
 @pytest.mark.parametrize("module", [tcscore, tcscore.records], ids=["tcscore", "records"])

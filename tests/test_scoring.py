@@ -187,7 +187,9 @@ def run_records(draw):
         return RunRecord("r", eager, RuntimeCrash("boom"))
     if kind == "compile_failure":
         return RunRecord("r", eager, CompileFailure("nope"))
-    levels = draw(st.lists(st.one_of(st.none(), st.sampled_from(CFG.grid)), min_size=1, max_size=3))
+    # A comparison passes at a numeric level t <= 0: the model refuses a level above 0.
+    numeric = [t for t in CFG.grid if t <= 0]
+    levels = draw(st.lists(st.one_of(st.none(), st.sampled_from(numeric)), min_size=1, max_size=3))
     return completed_record("r", levels, eager, draw(st.floats(1e-6, 1e3)))
 
 
