@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 data or validation failure, 2 usage error.
 Handlers import what only they use, so a call loads only its subcommand's modules:
-only ``simulate`` loads numpy and ``dataclasses``, and no command loads the object model of
-``tcscore.model``: ``simulate`` writes the simulator's lines as they are drawn.
+only ``simulate`` loads numpy, no command loads ``dataclasses``, and none loads the object
+model of ``tcscore.model``: ``simulate`` writes the simulator's lines as they are drawn.
+``run``, the process entry point, freezes the heap before exiting; ``main`` does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -101,7 +103,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Entry point of ``python -m tcscore`` and the ``tcscore`` script: exit with ``main``'s code.
+
+    The heap is frozen first, so the interpreter's exit-time collections skip
+    every object left from start-up instead of walking them all; stdout is
+    still flushed and atexit handlers still run.
+    """
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -180,8 +190,6 @@ def _cmd_dedup(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     from .records import _encode_line, header_to_dict
     from .simulator import SimSpec, records_header, simulate_blocks
 
@@ -194,9 +202,9 @@ def _cmd_simulate(args) -> int:
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        spec = spec._replace(seed=args.seed)
     if args.n is not None:
-        spec = replace(spec, n_samples=args.n)
+        spec = spec._replace(n_samples=args.n)
     cfg = _config(args)
     # Write each block's lines and drop it: memory stays one block whatever the count.
     with file_writer(args.manifests) as put_manifests, file_writer(args.records) as put_records:

@@ -174,6 +174,13 @@ def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
 def _count_rules(value: int, key: str, least: int) -> None:
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer")
+    # A count must be writable as text, which holds at most sys.get_int_max_str_digits()
+    # digits (0: no cap; older interpreters lack the limit). 2000 bits make under 603
+    # digits, below the least cap Python allows (640).
+    if value.bit_length() > 2000:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(value) >= 10**limit:
+            raise ValueError(f"{key} must have at most {limit} digits")
     if value < least:
         raise ValueError(f"{key} must be >= {least}, got {value}")
 

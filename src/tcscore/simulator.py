@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 # graph_hash is not called here: it stays importable because the benchmark's tracer wraps it by name.
-from .graphhash import _encode_topology, _refuse_surrogates, _text_digest, graph_hash  # noqa: F401
+from .graphhash import (
+    _CheckedTuple, _encode_topology, _refuse_surrogates, _text_digest, graph_hash,  # noqa: F401
+)
 from .macro import ScoreConfig
 from .records import (
     _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _expect_int, _expect_object, _expect_real,
@@ -83,74 +85,86 @@ DEFAULT_NOISE: Mapping[ScalarKind, float] = {
 }
 
 
-@dataclass(frozen=True)
-class Log2NormalLaw:
+class Log2NormalLaw(_CheckedTuple, namedtuple("Log2NormalLaw", "log2_mean log2_stddev")):
     """Law of a positive per-sample quantity whose log2 is normal."""
 
-    log2_mean: float
-    log2_stddev: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.log2_stddev < 0:
+    def __new__(cls, log2_mean: float, log2_stddev: float) -> Log2NormalLaw:
+        if log2_stddev < 0:
             raise ValueError("log2_stddev must be >= 0")
+        return tuple.__new__(cls, (log2_mean, log2_stddev))
 
 
-@dataclass(frozen=True)
-class ErrorRates:
+class ErrorRates(_CheckedTuple, namedtuple("ErrorRates", "accuracy_violation runtime_crash compile_failure")):
     """Per-sample fault probabilities; the remainder runs clean."""
 
-    accuracy_violation: float = 0.05
-    runtime_crash: float = 0.03
-    compile_failure: float = 0.07
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rates = (self.accuracy_violation, self.runtime_crash, self.compile_failure)
+    def __new__(
+        cls, accuracy_violation: float = 0.05, runtime_crash: float = 0.03, compile_failure: float = 0.07
+    ) -> ErrorRates:
+        rates = (accuracy_violation, runtime_crash, compile_failure)
         if any(not 0 <= r <= 1 for r in rates):
             raise ValueError("error rates must lie in [0, 1]")
         if sum(rates) > 1:
             raise ValueError("error rates must sum to at most 1")
+        return tuple.__new__(cls, rates)
 
 
-@dataclass(frozen=True)
-class SimSpec:
+class SimSpec(
+    _CheckedTuple,
+    namedtuple(
+        "SimSpec",
+        "seed n_samples framework category_mix speedup_law error_rates noise_law opcount_law",
+    ),
+):
     """Full description of a synthetic workload; same spec, same bytes out."""
 
-    seed: int = 0
-    n_samples: int = 100
-    framework: str = "synthetic"
-    category_mix: Mapping[TaskCategory, float] = field(
-        default_factory=lambda: dict(DEFAULT_CATEGORY_MIX)
-    )
-    speedup_law: Log2NormalLaw = Log2NormalLaw(0.35, 0.5)
-    error_rates: ErrorRates = ErrorRates()
-    noise_law: Mapping[ScalarKind, float] = field(
-        default_factory=lambda: dict(DEFAULT_NOISE)
-    )
-    opcount_law: Log2NormalLaw = Log2NormalLaw(9.0, 1.2)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
+    def __new__(
+        cls,
+        seed: int = 0,
+        n_samples: int = 100,
+        framework: str = "synthetic",
+        category_mix: Mapping[TaskCategory, float] = DEFAULT_CATEGORY_MIX,
+        speedup_law: Log2NormalLaw = Log2NormalLaw(0.35, 0.5),
+        error_rates: ErrorRates = ErrorRates(),
+        noise_law: Mapping[ScalarKind, float] = DEFAULT_NOISE,
+        opcount_law: Log2NormalLaw = Log2NormalLaw(9.0, 1.2),
+    ) -> SimSpec:
+        # A spec left at a default mix gets a dict of its own.
+        if category_mix is DEFAULT_CATEGORY_MIX:
+            category_mix = dict(category_mix)
+        if noise_law is DEFAULT_NOISE:
+            noise_law = dict(noise_law)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.n_samples < 1:
+        if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         # Every manifest carries the framework, so its one check runs here.
-        if not isinstance(self.framework, str):
+        if not isinstance(framework, str):
             raise ValueError("framework must be a string")
-        _refuse_surrogates(self.framework, "framework")
-        if not self.category_mix:
+        _refuse_surrogates(framework, "framework")
+        if not category_mix:
             raise ValueError("category_mix must be nonempty")
-        if any(w < 0 for w in self.category_mix.values()):
+        if any(w < 0 for w in category_mix.values()):
             raise ValueError("category weights must be >= 0")
-        total = sum(self.category_mix.values())
+        total = sum(category_mix.values())
         if not 0 < total < math.inf:
             raise ValueError(f"category weights must have a positive, finite sum, got {total}")
-        if not self.noise_law:
+        if not noise_law:
             raise ValueError("noise_law must be nonempty")
-        if any(m < 0 for m in self.noise_law.values()):
+        if any(m < 0 for m in noise_law.values()):
             raise ValueError("noise magnitudes must be >= 0")
+        return tuple.__new__(
+            cls,
+            (seed, n_samples, framework, category_mix, speedup_law, error_rates, noise_law, opcount_law),
+        )
 
     @classmethod
-    def from_dict(cls, data: Any) -> "SimSpec":
+    def from_dict(cls, data: Any) -> SimSpec:
         """Build a spec from parsed JSON; absent keys keep defaults, unknown keys are refused."""
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
@@ -171,16 +185,16 @@ class SimSpec:
         for key in ("speedup_law", "error_rates", "opcount_law"):
             if key in data:
                 params = _expect_object(data, key)
-                default = getattr(cls, key)
+                default = getattr(cls(), key)
                 _refuse_unknown_keys(params, default, f"{key}: ")
                 values = {name: _expect_real(params, name) for name in params}
-                kwargs[key] = replace(default, **values)
+                kwargs[key] = default._replace(**values)
         return cls(**kwargs)
 
 
 def _refuse_unknown_keys(data: Mapping[str, Any], model: Any, where: str = "") -> None:
-    """Refuse keys of ``data`` that name no field of dataclass ``model``."""
-    known = [f.name for f in fields(model)]
+    """Refuse keys of ``data`` that name no field of named tuple ``model``."""
+    known = model._fields
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValueError(f"{where}unknown keys {', '.join(unknown)} (expected: {', '.join(known)})")
@@ -335,19 +349,26 @@ def _simulate_block(
     category_names = [_json_str(c.value) for c in categories]
     kind_values = [k.value for k in kinds]
     kind_names = list(map(_json_str, kind_values))
+    # Each sample's set of output kinds as a bit mask, and each distinct set's dtypes text.
+    kind_mask = np.bitwise_or.reduceat(1 << kind_index, np.cumsum(output_count) - output_count)
+    dtype_texts = {
+        mask: ",".join(map(_json_str, sorted(v for k, v in enumerate(kind_values) if mask >> k & 1)))
+        for mask in set(kind_mask.tolist())
+    }
     output_kinds = kind_index.tolist()
     level_texts = ["null" if level is None else repr(level) for level in levels]
     op_names = [_OP_VOCAB[o] for o in op_index.tolist()]
-    columns = (category, opcount, multiplier, output_count, eager, warmup, timed, fate, compiled_time, depth)
+    columns = (
+        category, opcount, multiplier, output_count, kind_mask, eager, warmup, timed, fate, compiled_time, depth
+    )
     manifest_lines: list[str] = []
     record_lines: list[str] = []
     first_output = first_op = 0
-    for i, cat, ops, mult, count, eager_s, warm, iters, fate_i, compiled_s, size in zip(
+    for i, cat, ops, mult, count, mask, eager_s, warm, iters, fate_i, compiled_s, size in zip(
         ids, *(column.tolist() for column in columns)
     ):
         sample_id = f"s{i:05d}"
-        sample_kinds = output_kinds[first_output : first_output + count]
-        dtypes = ",".join(map(_json_str, sorted({kind_values[k] for k in sample_kinds})))
+        dtypes = dtype_texts[mask]
         operator_count = max(1, int(ops))
         source, topology = _synthesize_graph(sample_id, op_names[first_op : first_op + size])
         manifest_lines.append(
@@ -363,7 +384,7 @@ def _simulate_block(
             comparisons = ",".join([
                 f'{{"kind":{kind_names[k]},"min_passing_t":{level_texts[first_output + index]},'
                 f'"tensor_index":{index}}}'
-                for index, k in enumerate(sample_kinds)
+                for index, k in enumerate(output_kinds[first_output : first_output + count])
             ])
             timing = f'"compiled_time_s":{compiled_s!r},'
             outcome = f'{{"comparisons":[{comparisons}],"kind":{_COMPLETED}}}'

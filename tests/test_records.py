@@ -9,6 +9,7 @@ import io
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import Iterator
@@ -50,7 +51,7 @@ from tcscore.records import (
     header_to_dict,
 )
 from tcscore.scoring import DEFAULT_CONFIG, ScoreConfig, score_rows
-from tcscore.simulator import SimSpec, min_passing_tolerance, simulate
+from tcscore.simulator import ErrorRates, Log2NormalLaw, SimSpec, min_passing_tolerance, simulate
 from tcscore.tolerance import ScalarKind
 
 GRID = tuple(float(t) for t in range(-10, 1)) + (1.0, 2.0, 3.0, 4.0)
@@ -167,6 +168,8 @@ NUMERIC_FIELDS = {
 @example("operator_count", 2.5)
 @example("operator_count", True)
 @example("parameter_count", 1e300)
+@example("parameter_count", 10**4000)
+@example("parameter_count", 10**5000)
 @example("eager_time_s", math.inf)
 @example("eager_time_s", 2**53 + 1)
 @example("warmup_iters", 1.5)
@@ -201,6 +204,13 @@ def test_model_types_refuse_numbers_with_ingests_messages():
         (lambda: TensorComparison(0, ScalarKind.FLOAT32, 1.0), "min_passing_t must be <= 0, got 1.0"),
         (lambda: make_record(eager_time_s=2**53 + 1), "eager_time_s 9007199254740993 is not exact as a float"),
     ]
+    # A count past the interpreter's integer-to-text limit, where it has one, could not be written.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        cases += [
+            (lambda: make_manifest(operator_count=10**limit), f"operator_count must have at most {limit} digits"),
+            (lambda: make_record(warmup_iters=-(10**limit)), f"warmup_iters must have at most {limit} digits"),
+        ]
     for build, message in cases:
         with pytest.raises(ValueError) as caught:
             build()
@@ -652,8 +662,12 @@ def _refusal(build, *args, **kwargs):
             {"topology": (("a\udc00", ()),)},
             "topology must not hold a lone surrogate",
         ),
+        (Log2NormalLaw(0.0, 1.0), {"log2_stddev": -1.0}, "log2_stddev must be >= 0"),
+        (ErrorRates(), {"runtime_crash": 0.9}, "error rates must sum to at most 1"),
+        (SimSpec(), {"n_samples": 0}, "n_samples must be >= 1"),
     ],
-    ids=["RecordsHeader", "ScoreConfig", "ScoreCurve", "HashInput"],
+    ids=["RecordsHeader", "ScoreConfig", "ScoreCurve", "HashInput", "Log2NormalLaw", "ErrorRates",
+         "SimSpec"],
 )
 def test_checked_tuples_replace_and_make_through_their_constructor(value, changes, message):
     # A plain named tuple's _make, which its _replace calls, skips __new__ and its checks.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -702,7 +703,7 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
-def test_cli_subprocess_entrypoint(tmp_path):
+def test_cli_subprocess_entrypoint(tmp_path, capsys):
     m_path = tmp_path / "m.jsonl"
     r_path = tmp_path / "r.jsonl"
     env = _child_env()
@@ -738,6 +739,15 @@ def test_cli_subprocess_entrypoint(tmp_path):
         [sys.executable, "-m", "tcscore", "nope"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 2
+    # The process entry point freezes the heap before it exits; main, which
+    # library callers use, leaves the collector as it found it.
+    argv = ["score", "--records", str(r_path), "--t", "0"]
+    result = subprocess.run([sys.executable, "-m", "tcscore", *argv], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    assert result.stdout == capsys.readouterr().out.encode()
 
 
 _SCORING_UNUSED = ("hashlib", "tcscore.dataset", "decimal")
@@ -757,14 +767,14 @@ _SCORING_UNUSED = ("hashlib", "tcscore.dataset", "decimal")
         (["curve", "--manifests", "M", "--records", "R", "--format", "json"], _SCORING_UNUSED),
         (["violin", "--manifests", "M", "--records", "R"], _SCORING_UNUSED),
         (["simulate", "--n", "300", "--manifests", "M", "--records", "R"],
-         ("tcscore.model", "tcscore.scoring")),
+         ("dataclasses", "tcscore.model", "tcscore.scoring")),
     ],
     ids=["import", "stats", "dedup", "validate", "score", "report", "curve", "violin", "simulate"],
 )
 def test_command_leaves_unused_modules_unloaded(tmp_path, argv, unused):
-    # Only the simulator needs numpy, and dataclasses for its spec; no command
-    # builds the object model. Each command, run in a fresh interpreter, also
-    # leaves unloaded the modules it never calls.
+    # Only the simulator needs numpy; no command loads dataclasses or builds
+    # the object model. Each command, run in a fresh interpreter, also leaves
+    # unloaded the modules it never calls.
     paths = {"M": tmp_path / "m.jsonl", "R": tmp_path / "r.jsonl", "OUT": tmp_path / "out.jsonl"}
     assert main(["simulate", "--seed", "3", "--n", "20", "--manifests", str(paths["M"]),
                  "--records", str(paths["R"])]) == 0

@@ -44,7 +44,7 @@ from tcscore.scoring import (
     score_rows,
     speedup_score,
 )
-from tcscore.simulator import Log2NormalLaw, SimSpec, simulate
+from tcscore.simulator import ErrorRates, Log2NormalLaw, SimSpec, simulate
 from tcscore.tolerance import ScalarKind
 
 CFG = ScoreConfig()
@@ -126,9 +126,12 @@ _COMPONENTS = ScoreComponents(2.0, 0.5, 0.75, 0.25, 0.1, (1.0, 0.0, 0.0), 4, 3, 
         (lambda: score_rows([ScoreRow("a", None, 0.0, 2.0)], CFG), True),
         (lambda: HashInput("x1 = add(x0)", (("add", (0,)),)), True),
         (lambda: StatsReport(1, {"CV": 1}, {"CV": 100.0}, {"CV": {0: 1}}), False),  # dicts, as before
+        (lambda: Log2NormalLaw(0.35, 0.5), True),
+        (lambda: ErrorRates(0.1, 0.2, 0.3), True),
+        (lambda: SimSpec(seed=3), False),  # its category_mix and noise_law are dicts
     ],
     ids=["RecordsHeader", "ScoreConfig", "ScoreComponents", "CurvePoint", "ScoreCurve", "HashInput",
-         "StatsReport"],
+         "StatsReport", "Log2NormalLaw", "ErrorRates", "SimSpec"],
 )
 def test_value_types_refuse_assignment_and_hash_by_value(build, hashable):
     value, twin = build(), build()

@@ -229,6 +229,19 @@ def test_simulate_scores_each_block_with_one_call_per_kind(monkeypatch):
     assert sum(isinstance(r.outcome, Completed) for r in records) > len(calls)
 
 
+def test_manifest_dtypes_name_the_kinds_of_its_comparisons(tmp_path):
+    # Every kind, listed in reverse, so each line's dtypes must be sorted by name.
+    noise = {kind: 1e-6 for kind in reversed(ScalarKind)}
+    spec = SimSpec(seed=8, n_samples=BLOCK + 40, error_rates=NO_ERRORS, noise_law=noise)
+    manifests, records = simulate(spec, CFG)
+    for manifest, record in zip(manifests, records):
+        assert manifest.dtypes == {c.kind for c in record.outcome.comparisons}
+    assert {frozenset(m.dtypes) for m in manifests} >= {frozenset({kind}) for kind in ScalarKind}
+    write_manifests(tmp_path / "m.jsonl", manifests)
+    lines = [line for block, _ in tcscore.simulator.simulate_blocks(spec, CFG) for line in block]
+    assert "".join(lines) == (tmp_path / "m.jsonl").read_text()
+
+
 def test_injected_noise_spreads_min_passing_levels():
     spec = SimSpec(seed=11, n_samples=300, error_rates=NO_ERRORS)
     _, records = simulate(spec, CFG)
