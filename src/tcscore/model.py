@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable
 
-from .graphhash import HashInput, _freeze_topology, _refuse_surrogates, normalize_source
+from .graphhash import HashInput, _freeze_topology, normalize_source
 from .records import (
     MODEL_NAMES, _OUTCOME_KINDS, CheckedManifest, CheckedRecord, ErrorCode, RecordsHeader, ScoreRow,
-    TaskCategory, _build_score_row, _comparison_rules, _completed_rules, _encode_line,
-    _ingest_manifests, _load_records, _manifest_rules, _record_rules, file_writer, header_to_dict,
+    TaskCategory, _build_score_row, _count, _encode_line, _ingest_manifests, _load_records,
+    _manifest_rules, _real, _record_rules, _text, file_writer, header_to_dict,
 )
 from .tolerance import ScalarKind
 
@@ -37,7 +37,15 @@ class SampleManifest:
     source_digest_inputs: HashInput | None = None
 
     def __post_init__(self) -> None:
-        _manifest_rules(self)
+        # In the order ingest checks a line: dtypes, digest inputs, the rules, task_category.
+        if type(self.dtypes) is not frozenset or not all(type(k) is ScalarKind for k in self.dtypes):
+            raise ValueError("dtypes must be a frozenset of ScalarKind")
+        if self.source_digest_inputs is not None and type(self.source_digest_inputs) is not HashInput:
+            raise ValueError("source_digest_inputs must be a HashInput or None")
+        _manifest_rules(self.sample_id, self.framework, self.operator_count, self.graph_hash,
+                        self.parameter_count)
+        if type(self.task_category) is not TaskCategory:
+            raise ValueError("task_category must be a TaskCategory")
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +61,12 @@ class TensorComparison:
     min_passing_t: float | None
 
     def __post_init__(self) -> None:
-        _comparison_rules(self.tensor_index, self.min_passing_t)
+        level = self.min_passing_t
+        if level is not None and _real(level, "min_passing_t", exact=True) > 0:
+            raise ValueError(f"min_passing_t must be <= 0, got {level}")
+        _count(self.tensor_index, "tensor_index", 0)
+        if type(self.kind) is not ScalarKind:
+            raise ValueError("kind must be a ScalarKind")
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +77,11 @@ class Completed:
     comparisons: tuple[TensorComparison, ...]
 
     def __post_init__(self) -> None:
-        _completed_rules(self.comparisons)
+        comparisons = self.comparisons
+        if type(comparisons) is not tuple or not all(type(c) is TensorComparison for c in comparisons):
+            raise ValueError("comparisons must be a tuple of TensorComparison")
+        if not comparisons:
+            raise ValueError("completed outcome requires at least one comparison")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +91,7 @@ class RuntimeCrash:
     message: str = ""
 
     def __post_init__(self) -> None:
-        _refuse_surrogates(self.message, "message")
+        _text(self.message, "message")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +101,7 @@ class CompileFailure:
     message: str = ""
 
     def __post_init__(self) -> None:
-        _refuse_surrogates(self.message, "message")
+        _text(self.message, "message")
 
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
@@ -103,7 +120,10 @@ class RunRecord:
     timed_iters: int = 1
 
     def __post_init__(self) -> None:
-        _record_rules(self, isinstance(self.outcome, Completed))
+        if type(self.outcome) not in _OUTCOMES.values():
+            raise ValueError("outcome must be a Completed, RuntimeCrash or CompileFailure")
+        _record_rules(self.sample_id, self.eager_time_s, self.compiled_time_s, self.warmup_iters,
+                      self.timed_iters, type(self.outcome) is Completed, exact=True)
 
 
 def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:

@@ -23,12 +23,9 @@ from collections import namedtuple
 from contextlib import contextmanager
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .graphhash import _check_topology, _CheckedTuple, _refuse_surrogates, graph_digest, normalize_source
-
-if TYPE_CHECKING:
-    from .model import RunRecord, SampleManifest
 
 # The object model's names: ``tcscore.model`` defines them and this module serves them
 # on first access, so a caller that builds no model object never loads it.
@@ -78,17 +75,64 @@ _HEX = "0123456789abcdefABCDEF"
 _MAX_FLOAT = sys.float_info.max
 
 
-# Each model type's value rules, called by its ``__post_init__`` and on ingest's checked line.
-def _manifest_rules(manifest: SampleManifest | CheckedManifest) -> None:
-    _refuse_surrogates(manifest.sample_id, "sample_id")
-    _refuse_surrogates(manifest.framework, "framework")
-    if not manifest.sample_id:
-        raise ValueError("sample_id must be nonempty")
-    _count_rules(manifest.operator_count, "operator_count", 1)
-    if manifest.parameter_count is not None:
-        _count_rules(manifest.parameter_count, "parameter_count", 0)
-    if not manifest.graph_hash or manifest.graph_hash.strip(_HEX):
+# The field rules: each tests a value's exact type (``type(v) is int`` excludes ``bool``),
+# then its value, in ingest's words. Ingest's fallbacks call them on a line's JSON values
+# and keep what they return, a number as a float. The model constructors call them on
+# their own fields with ``exact``, which refuses a number that a float would change.
+def _text(value: Any, key: str, nonempty: bool = False) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string")
+    if nonempty and not value:
+        raise ValueError(f"{key} must be nonempty")
+    return _refuse_surrogates(value, key)
+
+
+def _count(value: Any, key: str, least: int) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer")
+    # A count must be writable as text: at most sys.get_int_max_str_digits() digits (0: no cap;
+    # older interpreters lack it). 2000 bits make under 603 digits, below the least cap (640).
+    if value.bit_length() > 2000:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and abs(value) >= 10**limit:
+            raise ValueError(f"{key} must have at most {limit} digits")
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _is_real(value: Any) -> bool:
+    # Finite and within float range: rejects NaN, infinities and huge integers.
+    return type(value) in (int, float) and abs(value) <= _MAX_FLOAT
+
+
+def _real(value: Any, key: str, positive: bool = False, exact: bool = False) -> float:
+    if not _is_real(value):
+        raise ValueError(f"{key} must be a finite number")
+    if not exact:
+        value = float(value)
+    elif float(value) != value:  # ingest reads a number as a float, which would change this integer
+        raise ValueError(f"{key} {value} is not exact as a float")
+    if positive and not value > 0:
+        raise ValueError(f"{key} must be positive, got {value}")
+    return value
+
+
+def _object(value: Any, key: str) -> dict[str, Any]:
+    if type(value) is not dict:
+        raise ValueError(f"{key} must be an object")
+    return value
+
+
+def _manifest_rules(sample_id: str, framework: str, operator_count: int, graph_hash: str,
+                    parameter_count: int | None) -> None:
+    _text(sample_id, "sample_id", nonempty=True)
+    _text(framework, "framework")
+    _count(operator_count, "operator_count", 1)
+    if not _text(graph_hash, "graph_hash") or graph_hash.strip(_HEX):
         raise ValueError("graph_hash must be a nonempty hex digest")
+    if parameter_count is not None:
+        _count(parameter_count, "parameter_count", 0)
 
 
 class SampleGroup(NamedTuple):
@@ -130,66 +174,25 @@ class ScoreRow(NamedTuple):
     speedup: float | None
 
 
-def _comparison_rules(tensor_index: int, level: float | None) -> None:
-    _count_rules(tensor_index, "tensor_index", 0)
-    if level is not None:
-        _real_rules(level, "min_passing_t")
-        if level > 0:
-            raise ValueError(f"min_passing_t must be <= 0, got {level}")
-
-
-def _completed_rules(comparisons: Sequence[Any]) -> None:
-    if not comparisons:
-        raise ValueError("completed outcome requires at least one comparison")
-
-
-def _record_rules(record: RunRecord | CheckedRecord, completed: bool) -> None:
-    eager, compiled = record.eager_time_s, record.compiled_time_s
-    _refuse_surrogates(record.sample_id, "sample_id")
-    if not record.sample_id:
-        raise ValueError("sample_id must be nonempty")
-    _real_rules(eager, "eager_time_s")
-    if not eager > 0:
-        raise ValueError(f"eager_time_s must be positive, got {eager}")
-    if completed and compiled is None:
-        raise ValueError("completed record requires compiled_time_s")
-    if not completed and compiled is not None:
+def _record_rules(sample_id: str, eager: float, compiled: float | None, warmup: int, timed: int,
+                  completed: bool, exact: bool = False) -> tuple[float, float | None]:
+    _text(sample_id, "sample_id", nonempty=True)
+    eager = _real(eager, "eager_time_s", positive=True, exact=exact)
+    if compiled is None:
+        if completed:
+            raise ValueError("completed record requires compiled_time_s")
+    elif not completed:
+        _real(compiled, "compiled_time_s")  # a time of the wrong type is named as such first
         raise ValueError("compiled_time_s is only valid for completed records")
-    if compiled is not None:
-        _real_rules(compiled, "compiled_time_s")
-        if not compiled > 0:
-            raise ValueError(f"compiled_time_s must be positive, got {compiled}")
+    else:
+        compiled = _real(compiled, "compiled_time_s", positive=True, exact=exact)
         speedup = eager / compiled
         if not 0 < speedup <= _MAX_FLOAT:
-            raise ValueError(
-                "speedup eager_time_s / compiled_time_s must be finite and"
-                f" positive, got {speedup}"
-            )
-    _count_rules(record.warmup_iters, "warmup_iters", 0)
-    _count_rules(record.timed_iters, "timed_iters", 1)
-
-
-# The numeric field rules, in ingest's words. On a file line the ``_expect_*`` checks run
-# first, so only a value built directly can fail the type tests here.
-def _count_rules(value: int, key: str, least: int) -> None:
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer")
-    # A count must be writable as text, which holds at most sys.get_int_max_str_digits()
-    # digits (0: no cap; older interpreters lack the limit). 2000 bits make under 603
-    # digits, below the least cap Python allows (640).
-    if value.bit_length() > 2000:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and abs(value) >= 10**limit:
-            raise ValueError(f"{key} must have at most {limit} digits")
-    if value < least:
-        raise ValueError(f"{key} must be >= {least}, got {value}")
-
-
-def _real_rules(value: float, key: str) -> None:
-    if not _is_real(value):
-        raise ValueError(f"{key} must be a finite number")
-    if float(value) != value:  # ingest reads a number as a float, which would change this integer
-        raise ValueError(f"{key} {value} is not exact as a float")
+            raise ValueError("speedup eager_time_s / compiled_time_s must be finite and positive,"
+                             f" got {speedup}")
+    _count(warmup, "warmup_iters", 0)
+    _count(timed, "timed_iters", 1)
+    return eager, compiled
 
 
 class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b producer")):
@@ -198,7 +201,7 @@ class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b produce
     __slots__ = ()
 
     def __new__(cls, grid: Iterable[float], p: float, b: float, producer: str) -> RecordsHeader:
-        _refuse_surrogates(producer, "producer")
+        _text(producer, "producer")
         grid = level_grid(grid)
         check_penalties(p, b)
         if 0.0 not in grid:
@@ -227,7 +230,7 @@ def check_penalties(p: float, b: float) -> None:
 
 
 class CheckedManifest(NamedTuple):
-    """A manifest line's checked JSON values, named as ``SampleManifest``'s fields."""
+    """A manifest line's JSON values, named and checked as ``SampleManifest`` checks its fields."""
 
     sample_id: str
     framework: str
@@ -239,10 +242,10 @@ class CheckedManifest(NamedTuple):
     source_digest_inputs: Mapping[str, Any] | None
 
 
-# Each checker tests a field's common JSON form inline and calls its
-# ``_expect_*`` helper only for the rest: a rare valid form, or a fault it
-# words. The last fields and the model rules share one test; if it fails,
-# their helpers and the rules run in the order of the full checks.
+# Each checker tests a field's common JSON form inline and calls its field
+# rule only for the rest: a rare valid form, or a fault the rule words. The
+# last fields share one combined test; if it fails, ``_manifest_rules`` or
+# ``_record_rules`` checks them field by field, as the model constructors do.
 def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     """Run every check of a manifest line, in a fixed order; return the checked values."""
     dtypes = data.get("dtypes", [])
@@ -256,14 +259,14 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
         _refuse_surrogates(names, "dtypes")
     parameter_count = data.get("parameter_count")
     if parameter_count is not None and type(parameter_count) is not int:
-        _expect_int(data, "parameter_count")
+        _count(parameter_count, "parameter_count", 0)
     digest_inputs = data.get("source_digest_inputs")
     if digest_inputs is not None:
         if type(digest_inputs) is not dict:
-            _expect_object(data, "source_digest_inputs")
+            _object(digest_inputs, "source_digest_inputs")
         source = digest_inputs.get("normalized_source")
         if type(source) is not str or not source.isascii():
-            _expect_str(digest_inputs, "normalized_source")
+            _text(source, "normalized_source")
         _check_topology(digest_inputs.get("topology"))
     sample_id, framework, category = data.get("sample_id"), data.get("framework"), data.get("task_category")
     operator_count, hex_digest = data.get("operator_count"), data.get("graph_hash")
@@ -279,23 +282,19 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
             sample_id, framework, category, operator_count, hex_digest,
             dtypes, parameter_count, digest_inputs,
         )
-    checked = CheckedManifest(
-        _expect_str(data, "sample_id"),
-        _expect_str(data, "framework"),
-        TaskCategory.from_name(_expect_str(data, "task_category")),
-        _expect_int(data, "operator_count"),
-        _expect_str(data, "graph_hash"),
-        dtypes, parameter_count, digest_inputs,
+    _manifest_rules(sample_id, framework, operator_count, hex_digest, parameter_count)
+    category = TaskCategory.from_name(_text(data.get("task_category"), "task_category"))
+    return CheckedManifest(
+        sample_id, framework, category, operator_count, hex_digest, dtypes, parameter_count, digest_inputs
     )
-    _manifest_rules(checked)
-    return checked
+
 
 class CheckedRecord(NamedTuple):
     """A record line's checked JSON values, named as ``RunRecord``'s fields.
 
     The outcome is its kind name and ``detail``: the ``(tensor_index,
     kind name, min_passing_t)`` comparisons of a completed run, else its
-    message.
+    message. The fields pass the rules ``RunRecord`` and its parts run on theirs.
     """
 
     sample_id: str
@@ -314,10 +313,10 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
     """
     raw_outcome = data.get("outcome")
     if type(raw_outcome) is not dict:
-        _expect_object(data, "outcome")
+        _object(raw_outcome, "outcome")
     outcome = raw_outcome.get("kind")
     if type(outcome) is not str or outcome not in _OUTCOME_CODES:
-        raise ValueError(f"unknown outcome kind {_expect_str(raw_outcome, 'kind')!r}")
+        raise ValueError(f"unknown outcome kind {_text(outcome, 'kind')!r}")
     completed = _OUTCOME_CODES[outcome] is None
     if completed:
         comparisons = raw_outcome.get("comparisons")
@@ -331,20 +330,20 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
             if type(level) is int and level in grid:  # a level written as a JSON integer
                 level = float(level)
             elif level is not None and not (type(level) is float and level in grid):
-                level = _expect_real(c, "min_passing_t")
+                level = _real(level, "min_passing_t")
                 if level not in grid:
                     raise ValueError(
                         f"min_passing_t {level} is not on the declared grid's numeric levels (t <= 0)"
                     )
             if not (type(tensor_index) is int and tensor_index >= 0 and type(kind) is str and kind.isascii()):
-                tensor_index, kind = _expect_int(c, "tensor_index"), _expect_str(c, "kind")
-                _comparison_rules(tensor_index, level)
+                tensor_index, kind = _count(tensor_index, "tensor_index", 0), _text(kind, "kind")
             detail.append((tensor_index, kind, level))
-        _completed_rules(detail)
+        if not detail:
+            raise ValueError("completed outcome requires at least one comparison")
     else:
         detail = raw_outcome.get("message", "")
         if type(detail) is not str or not detail.isascii():
-            detail = _expect_str(raw_outcome, "message", "")
+            detail = _text(detail, "message")
     sample_id, eager, compiled = data.get("sample_id"), data.get("eager_time_s"), data.get("compiled_time_s")
     warmup, timed = data.get("warmup_iters"), data.get("timed_iters")
     if (
@@ -356,17 +355,8 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
         ))
     ):
         return CheckedRecord(sample_id, eager, outcome, detail, compiled, warmup, timed)
-    if compiled is not None:
-        compiled = _expect_real(data, "compiled_time_s")
-    checked = CheckedRecord(
-        _expect_str(data, "sample_id"),
-        _expect_real(data, "eager_time_s"),
-        outcome, detail, compiled,
-        _expect_int(data, "warmup_iters"),
-        _expect_int(data, "timed_iters"),
-    )
-    _record_rules(checked, completed)
-    return checked
+    eager, compiled = _record_rules(sample_id, eager, compiled, warmup, timed, completed)
+    return CheckedRecord(sample_id, eager, outcome, detail, compiled, warmup, timed)
 
 
 def _build_score_row(r: CheckedRecord) -> ScoreRow:
@@ -386,21 +376,15 @@ def _build_score_row(r: CheckedRecord) -> ScoreRow:
 
 
 def header_to_dict(header: RecordsHeader) -> dict[str, Any]:
-    return {
-        "grid": list(header.grid),
-        "p": header.p,
-        "b": header.b,
-        "producer": header.producer,
-    }
+    return {**header._asdict(), "grid": list(header.grid)}
 
 
 def header_from_dict(data: Mapping[str, Any]) -> RecordsHeader:
-    """Check the header's JSON types; ``RecordsHeader`` checks its values."""
+    """Check the header's JSON types; ``RecordsHeader`` checks its values and the producer."""
     raw_grid = data.get("grid")
     if not isinstance(raw_grid, list) or not raw_grid or not all(map(_is_real, raw_grid)):
         raise ValueError("grid must be a nonempty list of finite numbers")
-    p, b = _expect_real(data, "p"), _expect_real(data, "b")
-    return RecordsHeader(raw_grid, p, b, _expect_str(data, "producer"))
+    return RecordsHeader(raw_grid, _real(data.get("p"), "p"), _real(data.get("b"), "b"), data.get("producer"))
 
 
 def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -555,38 +539,3 @@ def _read_json_lines(path: Path) -> Iterator[tuple[int, str, dict[str, Any]]]:
             if not isinstance(obj, dict):
                 raise IngestError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, stripped, obj
-
-
-# The checks below test the exact types ``json.loads`` builds; ``type(v)
-# is int`` also excludes ``bool``.
-def _expect_str(data: Mapping[str, Any], key: str, default: str | None = None) -> str:
-    value = data.get(key, default)
-    if type(value) is not str:
-        raise ValueError(f"{key} must be a string")
-    return _refuse_surrogates(value, key)
-
-
-def _expect_int(data: Mapping[str, Any], key: str) -> int:
-    value = data.get(key)
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer")
-    return value
-
-
-def _expect_real(data: Mapping[str, Any], key: str) -> float:
-    value = data.get(key)
-    if not _is_real(value):
-        raise ValueError(f"{key} must be a finite number")
-    return float(value)
-
-
-def _expect_object(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    value = data.get(key)
-    if type(value) is not dict:
-        raise ValueError(f"{key} must be an object")
-    return value
-
-
-def _is_real(value: Any) -> bool:
-    # Finite and within float range: rejects NaN, infinities and huge integers.
-    return type(value) in (int, float) and abs(value) <= _MAX_FLOAT

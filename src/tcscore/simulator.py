@@ -20,14 +20,9 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 import numpy as np
 
 # graph_hash is not called here: it stays importable because the benchmark's tracer wraps it by name.
-from .graphhash import (
-    _CheckedTuple, _encode_topology, _refuse_surrogates, _text_digest, graph_hash,  # noqa: F401
-)
+from .graphhash import _CheckedTuple, _encode_topology, _text_digest, graph_hash  # noqa: F401
 from .macro import ScoreConfig
-from .records import (
-    _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _expect_int, _expect_object, _expect_real,
-    _expect_str, level_grid,
-)
+from .records import _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _object, _real, _text, level_grid
 from .tolerance import ScalarKind, atol, rtol
 
 if TYPE_CHECKING:
@@ -139,14 +134,15 @@ class SimSpec(
             category_mix = dict(category_mix)
         if noise_law is DEFAULT_NOISE:
             noise_law = dict(noise_law)
+        for key, value in (("seed", seed), ("n_samples", n_samples)):
+            if type(value) is not int:  # a bool or a float would reach numpy, or count one sample
+                raise ValueError(f"{key} must be an integer")
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         # Every manifest carries the framework, so its one check runs here.
-        if not isinstance(framework, str):
-            raise ValueError("framework must be a string")
-        _refuse_surrogates(framework, "framework")
+        _text(framework, "framework")
         if not category_mix:
             raise ValueError("category_mix must be nonempty")
         if any(w < 0 for w in category_mix.values()):
@@ -169,25 +165,21 @@ class SimSpec(
         if not isinstance(data, Mapping):
             raise ValueError("spec must be a JSON object")
         _refuse_unknown_keys(data, cls)
-        kwargs: dict[str, Any] = {}
-        for key in ("seed", "n_samples"):
-            if key in data:
-                kwargs[key] = _expect_int(data, key)
-        if "framework" in data:
-            kwargs["framework"] = _expect_str(data, "framework")
+        # The constructor checks seed, n_samples and framework.
+        kwargs: dict[str, Any] = {key: data[key] for key in ("seed", "n_samples", "framework") if key in data}
         for key, parse_name in (
             ("category_mix", TaskCategory.from_name),
             ("noise_law", _noise_kind),
         ):
             if key in data:
-                weights = _expect_object(data, key)
-                kwargs[key] = {parse_name(name): _expect_real(weights, name) for name in weights}
+                weights = _object(data[key], key)
+                kwargs[key] = {parse_name(name): _real(weights[name], name) for name in weights}
         for key in ("speedup_law", "error_rates", "opcount_law"):
             if key in data:
-                params = _expect_object(data, key)
+                params = _object(data[key], key)
                 default = getattr(cls(), key)
                 _refuse_unknown_keys(params, default, f"{key}: ")
-                values = {name: _expect_real(params, name) for name in params}
+                values = {name: _real(params[name], name) for name in params}
                 kwargs[key] = default._replace(**values)
         return cls(**kwargs)
 

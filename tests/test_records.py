@@ -150,8 +150,12 @@ def test_model_types_refuse_lone_surrogates_as_ingest_does(build, key):
     assert str(caught.value) == f"{key} must not hold a lone surrogate"
 
 
-# Each numeric field of the model, built with a value in place of a valid one.
-NUMERIC_FIELDS = {
+# Each numeric or text field of the model, built with a value in place of a valid one.
+FIELDS = {
+    "sample_id": lambda v: make_manifest(v),
+    "framework": lambda v: make_manifest(framework=v),
+    "graph_hash": lambda v: make_manifest(graph_hash=v),
+    "message": lambda v: make_record(outcome=RuntimeCrash(v), compiled_time_s=None),
     "operator_count": lambda v: make_manifest(operator_count=v),
     "parameter_count": lambda v: make_manifest(parameter_count=v),
     "eager_time_s": lambda v: make_record(eager_time_s=v, outcome=RuntimeCrash("x"), compiled_time_s=None),
@@ -163,7 +167,10 @@ NUMERIC_FIELDS = {
 }
 
 
-@given(st.sampled_from(sorted(NUMERIC_FIELDS)), st.integers() | st.floats() | st.booleans())
+@given(
+    st.sampled_from(sorted(FIELDS)),
+    st.integers() | st.floats() | st.booleans() | st.text() | st.none(),
+)
 @example("operator_count", math.inf)
 @example("operator_count", 2.5)
 @example("operator_count", True)
@@ -176,10 +183,16 @@ NUMERIC_FIELDS = {
 @example("min_passing_t", math.nan)
 @example("min_passing_t", 1.0)
 @example("min_passing_t", -(2**53) - 1)
+@example("sample_id", None)
+@example("sample_id", 5)
+@example("framework", "é")
+@example("graph_hash", "ABCdef0")
+@example("message", None)
+@example("operator_count", "512")
 @settings(max_examples=300)
 def test_model_types_build_only_numbers_their_loaders_load(tmp_path_factory, field, value):
     try:
-        built = NUMERIC_FIELDS[field](value)
+        built = FIELDS[field](value)
     except ValueError:
         return
     directory = tmp_path_factory.mktemp("rt")
@@ -215,6 +228,26 @@ def test_model_types_refuse_numbers_with_ingests_messages():
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
+
+
+# Each model constructor refuses a structured field of the wrong type, which no writer could encode.
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: make_manifest(task_category="CV"), "task_category"),
+        (lambda: make_manifest(dtypes=frozenset({"float32"})), "dtypes"),
+        (lambda: make_manifest(source_digest_inputs={"normalized_source": "x", "topology": [["add", []]]}),
+         "source_digest_inputs"),
+        (lambda: TensorComparison(0, "float32", None), "kind"),
+        (lambda: make_record(outcome="completed"), "outcome"),
+        (lambda: Completed((1, 2)), "comparisons"),
+    ],
+    ids=["task_category", "dtypes", "source_digest_inputs", "kind", "outcome", "comparisons"],
+)
+def test_model_types_refuse_wrongly_typed_structured_fields(build, key):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value).startswith(f"{key} must be ")
 
 
 def test_from_source_accepts_a_surrogate_that_normalizing_drops(tmp_path):
@@ -416,8 +449,8 @@ BAD_VALUES = [
     ("r", 2, ("warmup_iters",), -1, "warmup_iters must be >= 0, got -1"),
     ("r", 2, ("outcome", "kind"), "exploded", "unknown outcome kind 'exploded'"),
 ]
-# Faults that fail a checker's inline test, each worded by the field's helper
-# or by the model rules that the combined test hands it to.
+# Faults that fail a checker's inline test, each worded by the field's rule,
+# which the inline test or the combined test hands it to.
 FALLBACK_FAULTS = [
     ("m", 1, ("task_category",), [], "task_category must be a string"),
     ("m", 1, ("dtypes",), [1, "\ud800"], "dtypes must be a list of kind names"),
@@ -458,8 +491,37 @@ def test_load_rejects_wrong_json_types_located(
     assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
 
+# Two faults on one line: the checker names the first field in its order, each
+# field's type test before its value test, and the model constructor names the same.
+@pytest.mark.parametrize(
+    "file, lineno, faults, build, message",
+    [
+        ("m", 1, {"sample_id": "", "operator_count": "x"},
+         lambda: make_manifest("", operator_count="x"), "sample_id must be nonempty"),
+        ("r", 2, {"eager_time_s": -1.0, "timed_iters": 1.5},
+         lambda: make_record(eager_time_s=-1.0, timed_iters=1.5), "eager_time_s must be positive, got -1.0"),
+    ],
+    ids=["manifest", "record"],
+)
+def test_two_faults_on_a_line_name_the_first_field_in_checker_order(
+    tmp_path, capsys, file, lineno, faults, build, message
+):
+    m_path, r_path = _write_dataset(tmp_path)
+    path = {"m": m_path, "r": r_path}[file]
+    for key, value in faults.items():
+        _plant(path, lineno, (key,), value)
+    for load in LOADERS[file]:
+        with pytest.raises(IngestError, match=rf"{file}\.jsonl:{lineno}: {re.escape(message)}\Z"):
+            load(path)
+    assert main(["validate", "--manifests", str(m_path), "--records", str(r_path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 # (file, line, where, rare value, common twin): valid forms that a checker's
-# inline test hands to the field's helper. Each loads as its twin does; a
+# inline test hands to the field's rule. Each loads as its twin does; a
 # non-ASCII string loads as its ASCII twin but for that letter.
 CRASH = ("outcome", "message")
 RARE_FORMS = [

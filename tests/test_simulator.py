@@ -414,6 +414,14 @@ def test_spec_refuses_a_framework_no_manifest_can_carry(framework, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("key, value", [("n_samples", True), ("n_samples", 2.5), ("seed", 1.5), ("seed", True)])
+def test_spec_refuses_a_seed_or_sample_count_that_is_not_an_int(key, value):
+    for build in (lambda: SimSpec(**{key: value}), lambda: SimSpec.from_dict({key: value})):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == f"{key} must be an integer"
+
+
 def test_cli_simulate_refuses_a_spec_framework_with_a_lone_surrogate(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"framework": "\ud800"}))
