@@ -71,11 +71,6 @@ def _check_topology(topology: Sequence) -> None:
         _refuse_surrogates("".join([op for op, _ in topology]), "topology")
 
 
-def _freeze_topology(topology: Sequence) -> Topology:
-    """A listing that passed ``_check_topology``, as nested tuples."""
-    return tuple([(op, tuple(inputs)) for op, inputs in topology])
-
-
 class _CheckedTuple:
     """Base of the named tuples whose constructor checks their fields.
 
@@ -96,23 +91,25 @@ class HashInput(_CheckedTuple, namedtuple("HashInput", "normalized_source topolo
     ``normalized_source`` must already be in normalized form: ``graph_hash``
     hashes it as given (build via ``from_source`` to guarantee that).
     ``topology`` lists operators in topological order as (op_type,
-    ordered input indices) pairs; lists and tuples hash alike. Neither
-    the source nor an op name may hold a lone surrogate, which no output
-    could encode.
+    ordered input indices) pairs, as lists or tuples; it is checked as
+    ingest checks it and frozen into nested tuples. Neither the source
+    nor an op name may hold a lone surrogate, which no output could encode.
     """
 
     __slots__ = ()
 
-    def __new__(cls, normalized_source: str, topology: Topology) -> "HashInput":
+    def __new__(cls, normalized_source: str, topology: Sequence) -> "HashInput":
+        if type(normalized_source) is not str:
+            raise ValueError("normalized_source must be a string")
         _refuse_surrogates(normalized_source, "normalized_source")
-        _refuse_surrogates("".join([op for op, _ in topology]), "topology")
-        return tuple.__new__(cls, (normalized_source, topology))
+        _check_topology(topology)
+        frozen = tuple([(op, tuple(inputs)) for op, inputs in topology])
+        return tuple.__new__(cls, (normalized_source, frozen))
 
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
-        """Normalize raw source text; check and freeze the topology listing, as ingest does."""
-        _check_topology(topology)
-        return cls(normalize_source(source), _freeze_topology(topology))
+        """Normalize raw source text and build from it."""
+        return cls(normalize_source(source), topology)
 
 
 def graph_hash(h: HashInput) -> str:

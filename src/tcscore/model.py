@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable
 
-from .graphhash import HashInput, _freeze_topology, normalize_source
+from .graphhash import HashInput
 from .records import (
-    MODEL_NAMES, _OUTCOME_KINDS, CheckedManifest, CheckedRecord, ErrorCode, RecordsHeader, ScoreRow,
-    TaskCategory, _build_score_row, _count, _encode_line, _ingest_manifests, _load_records,
-    _manifest_rules, _real, _record_rules, _text, file_writer, header_to_dict,
+    MODEL_NAMES, _OUTCOME_KINDS, ErrorCode, RecordsHeader, ScoreRow, TaskCategory, _build_score_row, _count,
+    _encode_line, _ingest_manifests, _load_records, _manifest_rules, _real, _record_rules, _text, file_writer,
+    header_to_dict,
 )
 from .tolerance import ScalarKind
 
@@ -145,15 +145,12 @@ def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
     return data
 
 
-def _build_manifest(m: CheckedManifest) -> SampleManifest:
-    digest = m.source_digest_inputs
+def _build_manifest(manifest: tuple) -> SampleManifest:
+    sample_id, framework, category, operator_count, graph_hash, dtypes, parameter_count, digest = manifest
     if digest is not None:
-        source, topology = digest["normalized_source"], digest["topology"]
-        digest = HashInput(normalize_source(source), _freeze_topology(topology))
-    return SampleManifest(
-        m.sample_id, m.framework, m.task_category, m.operator_count, m.graph_hash,
-        frozenset(map(ScalarKind.from_name, m.dtypes)), m.parameter_count, digest,
-    )
+        digest = HashInput.from_source(digest["normalized_source"], digest["topology"])
+    return SampleManifest(sample_id, framework, category, operator_count, graph_hash,
+                          frozenset(map(ScalarKind.from_name, dtypes)), parameter_count, digest)
 
 
 def record_to_dict(record: RunRecord) -> dict[str, Any]:
@@ -178,15 +175,12 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
     return data
 
 
-def _build_record(r: CheckedRecord) -> RunRecord:
-    outcome = _OUTCOMES[r.outcome]
+def _build_record(record: tuple) -> RunRecord:
+    sample_id, eager, kind, detail, compiled, warmup, timed = record
+    outcome = _OUTCOMES[kind]
     if outcome is Completed:
-        outcome = Completed(
-            tuple([TensorComparison(i, ScalarKind.from_name(kind), t) for i, kind, t in r.detail])
-        )
-    else:
-        outcome = outcome(r.detail)
-    return RunRecord(r.sample_id, r.eager_time_s, outcome, r.compiled_time_s, r.warmup_iters, r.timed_iters)
+        detail = tuple([TensorComparison(i, ScalarKind.from_name(k), t) for i, k, t in detail])
+    return RunRecord(sample_id, eager, outcome(detail), compiled, warmup, timed)
 
 
 def score_row(record: RunRecord) -> ScoreRow:
@@ -195,10 +189,8 @@ def score_row(record: RunRecord) -> ScoreRow:
     detail = outcome.message if not isinstance(outcome, Completed) else [
         (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
     ]
-    return _build_score_row(CheckedRecord(
-        record.sample_id, record.eager_time_s, outcome.kind, detail,
-        record.compiled_time_s, record.warmup_iters, record.timed_iters,
-    ))
+    return _build_score_row((record.sample_id, record.eager_time_s, outcome.kind, detail,
+                             record.compiled_time_s, record.warmup_iters, record.timed_iters))
 
 
 def load_manifests(path: str | Path) -> list[SampleManifest]:

@@ -214,9 +214,13 @@ class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b produce
 def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
     """Check a level grid; return its one form, floats with 0 never -0.0 (-0.0 + 0.0 is 0.0)."""
     try:
+        if isinstance(levels, (str, bytes, bytearray)):  # text would be read character by character
+            raise TypeError
         grid = tuple([float(t) + 0.0 for t in levels])
     except OverflowError:  # an integer beyond float range: not finite either
         grid = (math.inf,)
+    except (TypeError, ValueError):  # not iterable, or a level float() cannot take
+        raise ValueError("grid must be an iterable of real numbers") from None
     if not all(map(math.isfinite, grid)):
         raise ValueError("grid levels must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -225,29 +229,21 @@ def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
 
 
 def check_penalties(p: float, b: float) -> None:
+    if type(p) is not float or type(b) is not float:
+        from numbers import Real  # numpy's scalar types register as real numbers
+        if not isinstance(p, Real) or not isinstance(b, Real):
+            raise ValueError("penalties p and b must be real numbers")
     if not 0 < p < 1 or not 0 < b < 1:
         raise ValueError("penalties p and b must lie in (0, 1)")
-
-
-class CheckedManifest(NamedTuple):
-    """A manifest line's JSON values, named and checked as ``SampleManifest`` checks its fields."""
-
-    sample_id: str
-    framework: str
-    task_category: TaskCategory
-    operator_count: int
-    graph_hash: str
-    dtypes: list[str]
-    parameter_count: int | None
-    source_digest_inputs: Mapping[str, Any] | None
 
 
 # Each checker tests a field's common JSON form inline and calls its field
 # rule only for the rest: a rare valid form, or a fault the rule words. The
 # last fields share one combined test; if it fails, ``_manifest_rules`` or
 # ``_record_rules`` checks them field by field, as the model constructors do.
-def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
-    """Run every check of a manifest line, in a fixed order; return the checked values."""
+def _check_manifest(data: Mapping[str, Any]) -> tuple:
+    """Run every check of a manifest line, in a fixed order; return its values as a tuple
+    in ``SampleManifest``'s field order, each in its JSON form but ``task_category``."""
     dtypes = data.get("dtypes", [])
     try:
         names = "".join(dtypes) if type(dtypes) is list else None
@@ -271,46 +267,23 @@ def _check_manifest(data: Mapping[str, Any]) -> CheckedManifest:
     sample_id, framework, category = data.get("sample_id"), data.get("framework"), data.get("task_category")
     operator_count, hex_digest = data.get("operator_count"), data.get("graph_hash")
     category = _CATEGORIES.get(category) if type(category) is str else None  # a list is unhashable
-    if (
+    if not (
         type(sample_id) is str and sample_id and sample_id.isascii()
         and type(framework) is str and framework.isascii() and category is not None
         and type(operator_count) is int and operator_count >= 1
         and (parameter_count is None or parameter_count >= 0)
         and type(hex_digest) is str and hex_digest and not hex_digest.strip(_HEX)
     ):
-        return CheckedManifest(
-            sample_id, framework, category, operator_count, hex_digest,
-            dtypes, parameter_count, digest_inputs,
-        )
-    _manifest_rules(sample_id, framework, operator_count, hex_digest, parameter_count)
-    category = TaskCategory.from_name(_text(data.get("task_category"), "task_category"))
-    return CheckedManifest(
-        sample_id, framework, category, operator_count, hex_digest, dtypes, parameter_count, digest_inputs
-    )
+        _manifest_rules(sample_id, framework, operator_count, hex_digest, parameter_count)
+        category = TaskCategory.from_name(_text(data.get("task_category"), "task_category"))
+    return sample_id, framework, category, operator_count, hex_digest, dtypes, parameter_count, digest_inputs
 
 
-class CheckedRecord(NamedTuple):
-    """A record line's checked JSON values, named as ``RunRecord``'s fields.
-
-    The outcome is its kind name and ``detail``: the ``(tensor_index,
-    kind name, min_passing_t)`` comparisons of a completed run, else its
-    message. The fields pass the rules ``RunRecord`` and its parts run on theirs.
-    """
-
-    sample_id: str
-    eager_time_s: float
-    outcome: str
-    detail: list[tuple[int, str, float | None]] | str
-    compiled_time_s: float | None
-    warmup_iters: int
-    timed_iters: int
-
-
-def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRecord:
-    """Run every check of a record line, in a fixed order; return the checked values.
-
-    Each min_passing_t must be one of the ``grid`` levels.
-    """
+def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> tuple:
+    """Run every check of a record line, in a fixed order; return its values as a tuple in
+    ``RunRecord``'s field order, the outcome as its kind name and ``detail``: the
+    ``(tensor_index, kind name, min_passing_t)`` comparisons of a completed run, else its
+    message. Each min_passing_t must be one of the ``grid`` levels."""
     raw_outcome = data.get("outcome")
     if type(raw_outcome) is not dict:
         _object(raw_outcome, "outcome")
@@ -346,7 +319,7 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
             detail = _text(detail, "message")
     sample_id, eager, compiled = data.get("sample_id"), data.get("eager_time_s"), data.get("compiled_time_s")
     warmup, timed = data.get("warmup_iters"), data.get("timed_iters")
-    if (
+    if not (
         type(sample_id) is str and sample_id and sample_id.isascii()
         and type(eager) is float and 0 < eager <= _MAX_FLOAT
         and type(warmup) is int and warmup >= 0 and type(timed) is int and timed >= 1
@@ -354,13 +327,12 @@ def _check_record(data: Mapping[str, Any], grid: frozenset[float]) -> CheckedRec
             type(compiled) is float and compiled > 0 and 0 < eager / compiled <= _MAX_FLOAT
         ))
     ):
-        return CheckedRecord(sample_id, eager, outcome, detail, compiled, warmup, timed)
-    eager, compiled = _record_rules(sample_id, eager, compiled, warmup, timed, completed)
-    return CheckedRecord(sample_id, eager, outcome, detail, compiled, warmup, timed)
+        eager, compiled = _record_rules(sample_id, eager, compiled, warmup, timed, completed)
+    return sample_id, eager, outcome, detail, compiled, warmup, timed
 
 
-def _build_score_row(r: CheckedRecord) -> ScoreRow:
-    sample_id, eager, outcome, detail, compiled, _, _ = r
+def _build_score_row(record: tuple) -> ScoreRow:
+    sample_id, eager, outcome, detail, compiled, _, _ = record
     code = _OUTCOME_CODES[outcome]
     # tuple.__new__ skips the named tuple's Python-level __new__, once per record line.
     if code is not None:
@@ -393,7 +365,12 @@ def read_manifest_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     Every line is checked in full, as ``load_manifests`` checks it, with
     the same errors, raised when the bad line is reached.
     """
-    return _ingest_manifests(Path(path), lambda checked: checked.graph_hash)
+
+    def build(manifest: tuple) -> str:
+        _, _, _, _, graph_hash, _, _, _ = manifest
+        return graph_hash
+
+    return _ingest_manifests(Path(path), build)
 
 
 def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) -> list[SampleGroup]:
@@ -406,14 +383,14 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
     stored graph_hash, in either case, is appended to it in file order.
     """
 
-    def build(m: CheckedManifest) -> SampleGroup:
-        inputs = m.source_digest_inputs
+    def build(manifest: tuple) -> SampleGroup:
+        sample_id, framework, category, operator_count, graph_hash, _, _, inputs = manifest
         if mismatched is not None and inputs is not None:
-            # Checked JSON lists encode as the tuples ``_build_manifest`` freezes.
+            # Checked JSON lists encode as the tuples ``HashInput`` freezes.
             source = normalize_source(inputs["normalized_source"])
-            if graph_digest(source, inputs["topology"]) != m.graph_hash.lower():
-                mismatched.append(m.sample_id)
-        return SampleGroup._make(m[:4])  # a group is a checked manifest's first four fields
+            if graph_digest(source, inputs["topology"]) != graph_hash.lower():
+                mismatched.append(sample_id)
+        return tuple.__new__(SampleGroup, (sample_id, framework, category, operator_count))
 
     return [group for _, group in _ingest_manifests(Path(path), build)]
 
@@ -424,10 +401,9 @@ def load_score_rows(path: str | Path) -> tuple[RecordsHeader, list[ScoreRow]]:
 
 
 _Item = TypeVar("_Item")
-_Checked = TypeVar("_Checked", CheckedManifest, CheckedRecord)
 
 
-def _load_records(path: Path, build: Callable[[CheckedRecord], _Item]) -> tuple[RecordsHeader, list[_Item]]:
+def _load_records(path: Path, build: Callable[[tuple], _Item]) -> tuple[RecordsHeader, list[_Item]]:
     lines = _read_json_lines(path)
     for lineno, _, obj in lines:
         try:
@@ -479,7 +455,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _ingest_manifests(
-    path: Path, build: Callable[[CheckedManifest], _Item]
+    path: Path, build: Callable[[tuple], _Item]
 ) -> Iterator[tuple[str, _Item]]:
     return _ingest(path, _read_json_lines(path), _check_manifest, build, "no manifests")
 
@@ -487,8 +463,8 @@ def _ingest_manifests(
 def _ingest(
     path: Path,
     lines: Iterator[tuple[int, str, dict[str, Any]]],
-    check: Callable[[dict[str, Any]], _Checked],
-    build: Callable[[_Checked], _Item],
+    check: Callable[[dict[str, Any]], tuple],
+    build: Callable[[tuple], _Item],
     empty: str,
 ) -> Iterator[tuple[str, _Item]]:
     """Check every remaining line, yielding its text and what ``build`` keeps of it.
@@ -504,10 +480,11 @@ def _ingest(
             checked = check(obj)
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from exc
-        duplicate = first_seen.setdefault(checked.sample_id, lineno)
+        sample_id = checked[0]  # the first of both checkers' values
+        duplicate = first_seen.setdefault(sample_id, lineno)
         if duplicate != lineno:
             raise IngestError(
-                f"{path}:{lineno}: duplicate sample_id {checked.sample_id!r}"
+                f"{path}:{lineno}: duplicate sample_id {sample_id!r}"
                 f" (first seen at line {duplicate})"
             )
         yield text, build(checked)

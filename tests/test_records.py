@@ -241,8 +241,12 @@ def test_model_types_refuse_numbers_with_ingests_messages():
         (lambda: TensorComparison(0, "float32", None), "kind"),
         (lambda: make_record(outcome="completed"), "outcome"),
         (lambda: Completed((1, 2)), "comparisons"),
+        (lambda: HashInput(5, (("add", (0,)),)), "normalized_source"),
+        (lambda: HashInput("x1 = add(x0)", (("add", 5),)), "topology"),
+        (lambda: HashInput("x", ()), "topology"),
     ],
-    ids=["task_category", "dtypes", "source_digest_inputs", "kind", "outcome", "comparisons"],
+    ids=["task_category", "dtypes", "source_digest_inputs", "kind", "outcome", "comparisons",
+         "hash-source", "hash-topology-inputs", "hash-topology-empty"],
 )
 def test_model_types_refuse_wrongly_typed_structured_fields(build, key):
     with pytest.raises(ValueError) as caught:
@@ -691,6 +695,12 @@ def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
         ((1.0, -1.0), 2.0, 0.1, "grid must be strictly ascending"),
         ((-2.0, -1.0), 2.0, 0.1, "penalties p and b must lie in (0, 1)"),
         ((0, 10**400), 0.1, 0.1, "grid levels must be finite"),  # no float holds it
+        ("01", 0.1, 0.1, "grid must be an iterable of real numbers"),  # not read character by character
+        (b"01", 0.1, 0.1, "grid must be an iterable of real numbers"),
+        (5, 0.1, 0.1, "grid must be an iterable of real numbers"),
+        ([None], 0.1, 0.1, "grid must be an iterable of real numbers"),
+        ((-1.0, 0.0), "0.5", 0.1, "penalties p and b must be real numbers"),
+        ((-1.0, 0.0), 0.1, None, "penalties p and b must be real numbers"),
     ],
 )
 def test_records_header_refuses_each_rule(grid, p, b, message):
