@@ -13,9 +13,7 @@ import re
 from collections import namedtuple
 from typing import Sequence
 
-__all__ = ["HashInput", "Topology", "graph_digest", "graph_hash", "normalize_source"]
-
-Topology = tuple[tuple[str, tuple[int, ...]], ...]
+__all__ = ["HashInput", "graph_hash", "normalize_source"]
 
 _COMMENT = re.compile(r"#[^\n]*")
 # Topologies are checked JSON lists or frozen tuples, never cyclic.
@@ -108,22 +106,13 @@ class HashInput(_CheckedTuple, namedtuple("HashInput", "normalized_source topolo
 
     @classmethod
     def from_source(cls, source: str, topology: Sequence) -> "HashInput":
-        """Normalize raw source text and build from it."""
-        return cls(normalize_source(source), topology)
+        """Normalize raw source text and build from it; a source that is not a string is refused."""
+        return cls(normalize_source(source) if type(source) is str else source, topology)
 
 
 def graph_hash(h: HashInput) -> str:
-    """Hex digest of the canonical byte encoding of a graph: ``graph_digest`` of its fields."""
-    return graph_digest(h.normalized_source, h.topology)
-
-
-def graph_digest(normalized_source: str, topology: Sequence) -> str:
-    """Hex SHA-256 of a graph's canonical bytes: ``_text_digest`` of the
-    normalized source and the compact JSON form of the topology. The
-    source is trusted to be normalized, as ``HashInput`` requires; it is
-    not normalized again.
-    """
-    return _text_digest(normalized_source, _encode_topology(topology))
+    """Hex SHA-256 of a graph's canonical bytes: ``_text_digest`` of its fields, topology as compact JSON."""
+    return _text_digest(h.normalized_source, _encode_topology(h.topology))
 
 
 def _text_digest(normalized_source: str, topology_json: str) -> str:

@@ -25,7 +25,8 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
-from .graphhash import _check_topology, _CheckedTuple, _refuse_surrogates, graph_digest, normalize_source
+from .graphhash import _check_topology, _CheckedTuple, _encode_topology, _refuse_surrogates, _text_digest
+from .graphhash import normalize_source
 
 # The object model's names: ``tcscore.model`` defines them and this module serves them
 # on first access, so a caller that builds no model object never loads it.
@@ -62,11 +63,15 @@ class TaskCategory(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "TaskCategory":
-        category = _CATEGORIES.get(name)
-        if category is None:
-            expected = ", ".join(_CATEGORIES)
-            raise ValueError(f"unknown task_category {name!r} (expected one of: {expected})")
-        return category
+        return _member(cls, name, "task_category")
+
+
+def _member(members: Any, name: str, what: str) -> Any:
+    """The member of enum ``members`` whose value is ``name``; any other name is refused."""
+    for member in members:
+        if member.value == name:
+            return member
+    raise ValueError(f"unknown {what} {name!r} (expected one of: {', '.join([m.value for m in members])})")
 
 
 _CATEGORIES = {category.value: category for category in TaskCategory}
@@ -214,7 +219,9 @@ class RecordsHeader(_CheckedTuple, namedtuple("RecordsHeader", "grid p b produce
 def level_grid(levels: Iterable[float]) -> tuple[float, ...]:
     """Check a level grid; return its one form, floats with 0 never -0.0 (-0.0 + 0.0 is 0.0)."""
     try:
-        if isinstance(levels, (str, bytes, bytearray)):  # text would be read character by character
+        # Text is refused as the grid, which would be read character by character, and as a level float() reads.
+        levels = [levels] if isinstance(levels, (str, bytes, bytearray)) else list(levels)
+        if any([isinstance(t, (str, bytes, bytearray)) for t in levels]):
             raise TypeError
         grid = tuple([float(t) + 0.0 for t in levels])
     except OverflowError:  # an integer beyond float range: not finite either
@@ -388,7 +395,7 @@ def load_sample_groups(path: str | Path, mismatched: list[str] | None = None) ->
         if mismatched is not None and inputs is not None:
             # Checked JSON lists encode as the tuples ``HashInput`` freezes.
             source = normalize_source(inputs["normalized_source"])
-            if graph_digest(source, inputs["topology"]) != graph_hash.lower():
+            if _text_digest(source, _encode_topology(inputs["topology"])) != graph_hash.lower():
                 mismatched.append(sample_id)
         return tuple.__new__(SampleGroup, (sample_id, framework, category, operator_count))
 

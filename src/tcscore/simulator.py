@@ -22,7 +22,8 @@ import numpy as np
 # graph_hash is not called here: it stays importable because the benchmark's tracer wraps it by name.
 from .graphhash import _CheckedTuple, _encode_topology, _text_digest, graph_hash  # noqa: F401
 from .macro import ScoreConfig
-from .records import _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _object, _real, _text, level_grid
+from .records import _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _member, _object, _real, _text
+from .records import level_grid
 from .tolerance import ScalarKind, atol, rtol
 
 if TYPE_CHECKING:
@@ -129,11 +130,6 @@ class SimSpec(
         noise_law: Mapping[ScalarKind, float] = DEFAULT_NOISE,
         opcount_law: Log2NormalLaw = Log2NormalLaw(9.0, 1.2),
     ) -> SimSpec:
-        # A spec left at a default mix gets a dict of its own.
-        if category_mix is DEFAULT_CATEGORY_MIX:
-            category_mix = dict(category_mix)
-        if noise_law is DEFAULT_NOISE:
-            noise_law = dict(noise_law)
         for key, value in (("seed", seed), ("n_samples", n_samples)):
             if type(value) is not int:  # a bool or a float would reach numpy, or count one sample
                 raise ValueError(f"{key} must be an integer")
@@ -143,17 +139,18 @@ class SimSpec(
             raise ValueError("n_samples must be >= 1")
         # Every manifest carries the framework, so its one check runs here.
         _text(framework, "framework")
-        if not category_mix:
-            raise ValueError("category_mix must be nonempty")
-        if any(w < 0 for w in category_mix.values()):
-            raise ValueError("category weights must be >= 0")
+        category_mix = _weights(category_mix, "category_mix", TaskCategory, "category weights")
         total = sum(category_mix.values())
         if not 0 < total < math.inf:
             raise ValueError(f"category weights must have a positive, finite sum, got {total}")
-        if not noise_law:
-            raise ValueError("noise_law must be nonempty")
-        if any(m < 0 for m in noise_law.values()):
-            raise ValueError("noise magnitudes must be >= 0")
+        noise_law = _weights(noise_law, "noise_law", ScalarKind, "noise magnitudes")
+        for law, model, message in (
+            (speedup_law, Log2NormalLaw, "speedup_law must be a Log2NormalLaw"),
+            (error_rates, ErrorRates, "error_rates must be an ErrorRates"),
+            (opcount_law, Log2NormalLaw, "opcount_law must be a Log2NormalLaw"),
+        ):
+            if not isinstance(law, model):
+                raise ValueError(message)
         return tuple.__new__(
             cls,
             (seed, n_samples, framework, category_mix, speedup_law, error_rates, noise_law, opcount_law),
@@ -167,13 +164,13 @@ class SimSpec(
         _refuse_unknown_keys(data, cls)
         # The constructor checks seed, n_samples and framework.
         kwargs: dict[str, Any] = {key: data[key] for key in ("seed", "n_samples", "framework") if key in data}
-        for key, parse_name in (
-            ("category_mix", TaskCategory.from_name),
-            ("noise_law", _noise_kind),
+        # Ingest maps unknown kind names to OTHER; a spec names only kinds tcscore models.
+        for key, members, what in (
+            ("category_mix", TaskCategory, "task_category"), ("noise_law", ScalarKind, "noise_law kind")
         ):
             if key in data:
                 weights = _object(data[key], key)
-                kwargs[key] = {parse_name(name): _real(weights[name], name) for name in weights}
+                kwargs[key] = {_member(members, name, what): _real(weights[name], name) for name in weights}
         for key in ("speedup_law", "error_rates", "opcount_law"):
             if key in data:
                 params = _object(data[key], key)
@@ -192,13 +189,16 @@ def _refuse_unknown_keys(data: Mapping[str, Any], model: Any, where: str = "") -
         raise ValueError(f"{where}unknown keys {', '.join(unknown)} (expected: {', '.join(known)})")
 
 
-def _noise_kind(name: str) -> ScalarKind:
-    # Ingest maps unknown kind names to OTHER; a spec names only kinds tcscore models.
-    try:
-        return ScalarKind(name)
-    except ValueError:
-        expected = ", ".join(kind.value for kind in ScalarKind)
-        raise ValueError(f"unknown noise_law kind {name!r} (expected one of: {expected})") from None
+def _weights(mapping: Mapping[Any, float], key: str, members: type, noun: str) -> dict[Any, float]:
+    """Check that a weight mapping is nonempty, then its keys, then its values; return a copy."""
+    weights = dict(mapping)
+    if not weights:
+        raise ValueError(f"{key} must be nonempty")
+    if not all([isinstance(k, members) for k in weights]):
+        raise ValueError(f"{key} keys must be {members.__name__} members")
+    if any([w < 0 for w in weights.values()]):
+        raise ValueError(f"{noun} must be >= 0")
+    return weights
 
 
 def records_header(spec: SimSpec, cfg: ScoreConfig) -> RecordsHeader:
@@ -455,6 +455,6 @@ _NODES = {(k, op): _node(k, op) for k in range(_MAX_DEPTH) for op in _OP_VOCAB}
 
 def _synthesize_graph(sample_id: str, ops: list[str]) -> tuple[str, str]:
     """A graph chaining ``ops``, node by node from ``_NODES``: its normalized
-    source and its topology's compact JSON text, as ``graph_digest`` encodes it."""
+    source and its topology's compact JSON text, as ``graph_hash`` encodes them."""
     entries, statements = zip(*[_NODES.get((k, op)) or _node(k, op) for k, op in enumerate(ops)])
     return f"def graph_{sample_id}(x0): {' '.join(statements)} return x{len(ops)}", f"[{','.join(entries)}]"

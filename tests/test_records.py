@@ -242,11 +242,12 @@ def test_model_types_refuse_numbers_with_ingests_messages():
         (lambda: make_record(outcome="completed"), "outcome"),
         (lambda: Completed((1, 2)), "comparisons"),
         (lambda: HashInput(5, (("add", (0,)),)), "normalized_source"),
+        (lambda: HashInput.from_source(5, [["a", [0]]]), "normalized_source"),
         (lambda: HashInput("x1 = add(x0)", (("add", 5),)), "topology"),
         (lambda: HashInput("x", ()), "topology"),
     ],
     ids=["task_category", "dtypes", "source_digest_inputs", "kind", "outcome", "comparisons",
-         "hash-source", "hash-topology-inputs", "hash-topology-empty"],
+         "hash-source", "hash-from-source", "hash-topology-inputs", "hash-topology-empty"],
 )
 def test_model_types_refuse_wrongly_typed_structured_fields(build, key):
     with pytest.raises(ValueError) as caught:
@@ -701,6 +702,7 @@ def test_load_records_rejects_header_grid_without_level_zero(tmp_path, capsys):
         ([None], 0.1, 0.1, "grid must be an iterable of real numbers"),
         ((-1.0, 0.0), "0.5", 0.1, "penalties p and b must be real numbers"),
         ((-1.0, 0.0), 0.1, None, "penalties p and b must be real numbers"),
+        (["-1", "0"], 0.1, 0.1, "grid must be an iterable of real numbers"),  # float() reads text levels
     ],
 )
 def test_records_header_refuses_each_rule(grid, p, b, message):

@@ -59,6 +59,38 @@ def test_spec_validation():
         SimSpec(category_mix={TaskCategory.CV: 1.0, TaskCategory.NLP: -0.5})
 
 
+def _spec_then_edit_its_mix():
+    weights = {TaskCategory.CV: 1.0}
+    spec = SimSpec(n_samples=5, category_mix=weights)
+    weights[TaskCategory.NLP] = -1.0  # a weight the constructor refuses
+    return spec
+
+
+# Each of these specs used to build and then fail inside simulate.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimSpec(category_mix={"CV": 1.0}), "category_mix keys must be TaskCategory members"),
+        (lambda: SimSpec(noise_law={"float32": 1e-6}), "noise_law keys must be ScalarKind members"),
+        (lambda: SimSpec(speedup_law=(0.35, 0.5)), "speedup_law must be a Log2NormalLaw"),
+        (lambda: SimSpec(error_rates=(0.05, 0.03, 0.07)), "error_rates must be an ErrorRates"),
+        (lambda: SimSpec(opcount_law=(9.0, 1.2)), "opcount_law must be a Log2NormalLaw"),
+        (_spec_then_edit_its_mix, None),  # the spec keeps its own copy of the mix
+    ],
+    ids=["category-names", "noise-names", "speedup-tuple", "rates-tuple", "opcount-tuple", "mix-edited-later"],
+)
+def test_spec_refuses_what_it_cannot_simulate(build, message):
+    if message is not None:
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+        return
+    spec = build()
+    assert spec.category_mix == {TaskCategory.CV: 1.0}
+    manifests, _ = simulate(spec, CFG)
+    assert {m.task_category for m in manifests} == {TaskCategory.CV}
+
+
 def test_spec_from_dict_roundtrip_defaults():
     spec = SimSpec.from_dict(
         {
@@ -325,7 +357,7 @@ def test_simulated_sources_are_already_normalized():
 
 def _graph_by_statement(sample_id: str, ops: list[str]) -> tuple[str, str]:
     # The reference: the per-statement loop, formatting every statement of every graph
-    # and encoding the whole topology as graph_digest does.
+    # and encoding the whole topology as graph_hash does.
     nodes = []
     source = [f"def graph_{sample_id}(x0):"]
     for k, op in enumerate(ops):
