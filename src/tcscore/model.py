@@ -85,23 +85,25 @@ class Completed:
 
 
 @dataclass(frozen=True, slots=True)
-class RuntimeCrash:
+class _Failed:
+    """A run that produced no outputs; equal only to a failure of the same type."""
+
+    message: str = ""
+
+    def __post_init__(self) -> None:
+        _text(self.message, "message")
+
+
+class RuntimeCrash(_Failed):
+    __slots__ = ()
     error_code: ClassVar[ErrorCode] = ErrorCode.RUNTIME_CRASH
     kind: ClassVar[str] = _OUTCOME_KINDS[error_code]
-    message: str = ""
-
-    def __post_init__(self) -> None:
-        _text(self.message, "message")
 
 
-@dataclass(frozen=True, slots=True)
-class CompileFailure:
+class CompileFailure(_Failed):
+    __slots__ = ()
     error_code: ClassVar[ErrorCode] = ErrorCode.COMPILE_FAILURE
     kind: ClassVar[str] = _OUTCOME_KINDS[error_code]
-    message: str = ""
-
-    def __post_init__(self) -> None:
-        _text(self.message, "message")
 
 
 RunOutcome = Completed | RuntimeCrash | CompileFailure
@@ -138,10 +140,7 @@ def manifest_to_dict(manifest: SampleManifest) -> dict[str, Any]:
     if manifest.parameter_count is not None:
         data["parameter_count"] = manifest.parameter_count
     if manifest.source_digest_inputs is not None:
-        data["source_digest_inputs"] = {
-            "normalized_source": manifest.source_digest_inputs.normalized_source,
-            "topology": manifest.source_digest_inputs.topology,
-        }
+        data["source_digest_inputs"] = manifest.source_digest_inputs._asdict()
     return data
 
 
@@ -153,25 +152,27 @@ def _build_manifest(manifest: tuple) -> SampleManifest:
                           frozenset(map(ScalarKind.from_name, dtypes)), parameter_count, digest)
 
 
-def record_to_dict(record: RunRecord) -> dict[str, Any]:
+def _record_values(record: RunRecord) -> tuple:
+    """The tuple ``_check_record`` returns for ``record``'s line."""
     outcome = record.outcome
-    encoded: dict[str, Any] = {"kind": outcome.kind}
-    if isinstance(outcome, Completed):
-        encoded["comparisons"] = [
-            {"tensor_index": c.tensor_index, "kind": c.kind.value, "min_passing_t": c.min_passing_t}
-            for c in outcome.comparisons
-        ]
+    detail = outcome.message if not isinstance(outcome, Completed) else [
+        (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
+    ]
+    return (record.sample_id, record.eager_time_s, outcome.kind, detail,
+            record.compiled_time_s, record.warmup_iters, record.timed_iters)
+
+
+def record_to_dict(record: RunRecord) -> dict[str, Any]:
+    sample_id, eager, kind, detail, compiled, warmup, timed = _record_values(record)
+    if type(detail) is str:
+        encoded = {"kind": kind, "message": detail}
     else:
-        encoded["message"] = outcome.message
-    data: dict[str, Any] = {
-        "sample_id": record.sample_id,
-        "eager_time_s": record.eager_time_s,
-        "outcome": encoded,
-        "warmup_iters": record.warmup_iters,
-        "timed_iters": record.timed_iters,
-    }
-    if record.compiled_time_s is not None:
-        data["compiled_time_s"] = record.compiled_time_s
+        fields = ("tensor_index", "kind", "min_passing_t")
+        encoded = {"kind": kind, "comparisons": [dict(zip(fields, c)) for c in detail]}
+    data = {"sample_id": sample_id, "eager_time_s": eager, "outcome": encoded,
+            "warmup_iters": warmup, "timed_iters": timed}
+    if compiled is not None:
+        data["compiled_time_s"] = compiled
     return data
 
 
@@ -185,12 +186,7 @@ def _build_record(record: tuple) -> RunRecord:
 
 def score_row(record: RunRecord) -> ScoreRow:
     """Reduce a record to the ``ScoreRow`` that ``load_score_rows`` builds from its line."""
-    outcome = record.outcome
-    detail = outcome.message if not isinstance(outcome, Completed) else [
-        (c.tensor_index, c.kind.value, c.min_passing_t) for c in outcome.comparisons
-    ]
-    return _build_score_row((record.sample_id, record.eager_time_s, outcome.kind, detail,
-                             record.compiled_time_s, record.warmup_iters, record.timed_iters))
+    return _build_score_row(_record_values(record))
 
 
 def load_manifests(path: str | Path) -> list[SampleManifest]:

@@ -99,12 +99,12 @@ def render_table(curve: ScoreCurve, fmt: str = "csv") -> str:
         {column: None if cell == "-" else float(cell) for column, cell in row.items()}
         for row in rows
     ]
-    return _render(fmt, payload, (list(rows[0]), rows))
+    return _render(fmt, payload, (list(rows[0]), [row.values() for row in rows]))
 
 
 def render_curve(curve: ScoreCurve, fmt: str = "csv") -> str:
     rows = [level_row(point) for point in curve.points]
-    return _render(fmt, rows, (list(rows[0]), rows))
+    return _render(fmt, rows, (list(rows[0]), [row.values() for row in rows]))
 
 
 def violin_data(
@@ -134,49 +134,32 @@ def violin_data(
 
 
 def render_violin(groups: Mapping[tuple[str, str], Sequence[float]], fmt: str = "json") -> str:
-    payload = [
-        {"framework": framework, "task_category": category, "log2_speedups": list(values)}
-        for (framework, category), values in groups.items()
-    ]
-    rows = (
-        {**entry, "log2_speedups": ";".join(map(_plain, entry["log2_speedups"]))}
-        for entry in payload
-    )
-    return _render(fmt, payload, (("framework", "task_category", "log2_speedups"), rows))
+    columns = ("framework", "task_category", "log2_speedups")
+    payload = [dict(zip(columns, (*group, list(values)))) for group, values in groups.items()]
+    rows = ((*group, ";".join(map(_plain, values))) for group, values in groups.items())
+    return _render(fmt, payload, (columns, rows))
 
 
 def render_stats(report: StatsReport, fmt: str = "json") -> str:
-    payload = {
-        "total": report.total,
-        "category_counts": dict(report.category_counts),
-        "category_shares": dict(report.category_shares),
-        "opcount_histograms": {
-            category: {str(bin_exp): count for bin_exp, count in hist.items()}
-            for category, hist in report.opcount_histograms.items()
-        },
-    }
     share_rows = (
-        {
-            "category": category,
-            "count": count,
-            "share_percent": report.category_shares[category],
-        }
+        (category, count, report.category_shares[category])
         for category, count in report.category_counts.items()
     )
     hist_rows = (
-        {"category": category, "bin_exponent": bin_exp, "count": count}
+        (category, bin_exp, count)
         for category, hist in report.opcount_histograms.items()
         for bin_exp, count in hist.items()
     )
     return _render(
         fmt,
-        payload,
+        report._asdict(),
         (("category", "count", "share_percent"), share_rows),
         (("category", "bin_exponent", "count"), hist_rows),
     )
 
 
-_Table = tuple[Sequence[str], Iterable[Mapping[str, Any]]]
+# A table: its column names, and its rows as values in column order.
+_Table = tuple[Sequence[str], Iterable[Iterable[Any]]]
 
 
 def _render(fmt: str, payload: Any, *tables: _Table) -> str:
@@ -199,14 +182,13 @@ def _plain(value: Any) -> str:
     return str(value)
 
 
-def _csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
+def _csv(columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
     import csv
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_plain(row[column]) for column in columns])
+    writer.writerows(map(_plain, row) for row in rows)
     return buffer.getvalue()
 
 
@@ -214,8 +196,8 @@ def _csv(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
 _MD_ESCAPES = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
 
 
-def _md(columns: Sequence[str], rows: Iterable[Mapping[str, Any]]) -> str:
+def _md(columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
     lines = [columns, ["---"] * len(columns)]
-    lines += ([_plain(row[c]).replace("\r\n", "\n").translate(_MD_ESCAPES) for c in columns] for row in rows)
+    lines += ([_plain(value).replace("\r\n", "\n").translate(_MD_ESCAPES) for value in row] for row in rows)
     return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 

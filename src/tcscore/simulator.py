@@ -22,8 +22,8 @@ import numpy as np
 # graph_hash is not called here: it stays importable because the benchmark's tracer wraps it by name.
 from .graphhash import _CheckedTuple, _encode_topology, _text_digest, graph_hash  # noqa: F401
 from .macro import ScoreConfig
-from .records import _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _member, _object, _real, _text
-from .records import level_grid
+from .records import _OUTCOME_KINDS, ErrorCode, RecordsHeader, TaskCategory, _member, _object, _text
+from .records import _is_real, level_grid
 from .tolerance import ScalarKind, atol, rtol
 
 if TYPE_CHECKING:
@@ -81,12 +81,20 @@ DEFAULT_NOISE: Mapping[ScalarKind, float] = {
 }
 
 
+def _number(value: Any, key: str) -> float:
+    """The spec types' one rule for a number: a finite int, float or numpy real, returned as a float."""
+    if not (_is_real(value) or isinstance(value, (np.integer, np.floating)) and math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number")
+    return float(value)
+
+
 class Log2NormalLaw(_CheckedTuple, namedtuple("Log2NormalLaw", "log2_mean log2_stddev")):
     """Law of a positive per-sample quantity whose log2 is normal."""
 
     __slots__ = ()
 
     def __new__(cls, log2_mean: float, log2_stddev: float) -> Log2NormalLaw:
+        log2_mean, log2_stddev = _number(log2_mean, "log2_mean"), _number(log2_stddev, "log2_stddev")
         if log2_stddev < 0:
             raise ValueError("log2_stddev must be >= 0")
         return tuple.__new__(cls, (log2_mean, log2_stddev))
@@ -100,7 +108,7 @@ class ErrorRates(_CheckedTuple, namedtuple("ErrorRates", "accuracy_violation run
     def __new__(
         cls, accuracy_violation: float = 0.05, runtime_crash: float = 0.03, compile_failure: float = 0.07
     ) -> ErrorRates:
-        rates = (accuracy_violation, runtime_crash, compile_failure)
+        rates = tuple(map(_number, (accuracy_violation, runtime_crash, compile_failure), cls._fields))
         if any(not 0 <= r <= 1 for r in rates):
             raise ValueError("error rates must lie in [0, 1]")
         if sum(rates) > 1:
@@ -170,14 +178,13 @@ class SimSpec(
         ):
             if key in data:
                 weights = _object(data[key], key)
-                kwargs[key] = {_member(members, name, what): _real(weights[name], name) for name in weights}
+                kwargs[key] = {_member(members, name, what): weights[name] for name in weights}
         for key in ("speedup_law", "error_rates", "opcount_law"):
             if key in data:
                 params = _object(data[key], key)
                 default = getattr(cls(), key)
                 _refuse_unknown_keys(params, default, f"{key}: ")
-                values = {name: _real(params[name], name) for name in params}
-                kwargs[key] = default._replace(**values)
+                kwargs[key] = default._replace(**params)
         return cls(**kwargs)
 
 
@@ -196,6 +203,7 @@ def _weights(mapping: Mapping[Any, float], key: str, members: type, noun: str) -
         raise ValueError(f"{key} must be nonempty")
     if not all([isinstance(k, members) for k in weights]):
         raise ValueError(f"{key} keys must be {members.__name__} members")
+    weights = {k: _number(w, k.value) for k, w in weights.items()}
     if any([w < 0 for w in weights.values()]):
         raise ValueError(f"{noun} must be >= 0")
     return weights

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcscore.dataset import audit_hashes, dedup, stats
-from tcscore.graphhash import HashInput, graph_hash, normalize_source
+from tcscore.graphhash import HashInput, _encode_topology, _text_digest, graph_hash, normalize_source
 from tcscore.records import SampleManifest, TaskCategory
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -96,7 +96,7 @@ def test_hash_golden_vector_with_comments_and_unicode_whitespace():
     tuples = (("matmul", (0, 1)), ("add", (2, 0)), ("relu", (3,)))
     normalized = "def f(x0, w): x1 = matmul(x0, w) x2 = add(x1, x0)"
     expected = "e3a4d3443d6ac255e47e5acdd3f2fca622a2cf495f6d55ece7e528f713c9b05e"
-    # The last input is what ingest's hash audit builds: checked JSON lists, unfrozen.
+    # HashInput freezes lists into tuples, so both spellings hash alike.
     for h in (
         HashInput.from_source(source, lists),
         HashInput.from_source(source, tuples),
@@ -104,6 +104,8 @@ def test_hash_golden_vector_with_comments_and_unicode_whitespace():
     ):
         assert h.normalized_source == normalized
         assert graph_hash(h) == expected
+    # validate's hash audit builds no HashInput: it digests the checked JSON lists directly.
+    assert _text_digest(normalize_source(source), _encode_topology(lists)) == expected
 
 
 def test_dedup_all_distinct():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -266,6 +267,18 @@ def test_from_source_accepts_a_surrogate_that_normalizing_drops(tmp_path):
 def test_crash_record_without_compiled_time_is_valid():
     record = make_record(outcome=CompileFailure("nope"), compiled_time_s=None)
     assert record.compiled_time_s is None
+
+
+def test_failure_types_share_a_body_but_stay_distinct():
+    assert RuntimeCrash("x") != CompileFailure("x")
+    assert make_record(outcome=RuntimeCrash("x"), compiled_time_s=None) != make_record(
+        outcome=CompileFailure("x"), compiled_time_s=None
+    )
+    for failure in (RuntimeCrash, CompileFailure):
+        assert repr(failure("x")) == f"{failure.__name__}(message='x')"
+        assert not hasattr(failure("x"), "__dict__")
+        assert type(dataclasses.replace(failure("x"), message="y")) is failure
+        assert dataclasses.replace(failure("x"), message="y") == failure("y")
 
 
 def test_load_manifests_empty_file(tmp_path):

@@ -283,6 +283,24 @@ def test_levels_are_reported_as_floats_and_zero_never_as_negative(tmp_path, caps
     assert repr(RecordsHeader((-1, -0.0), 0.1, 0.1, "test").grid) == "(-1.0, 0.0)"
 
 
+def test_header_without_positive_levels_gets_the_default_ones(tmp_path, capsys):
+    # A records header grid with no level > 0 is scored at levels 1-4 too, as the default grid.
+    manifests = [manifest(s) for s in "abc"]
+    records = [completed("a", 2.0, 1.0, -1.0), completed("b", 1.0, 2.0, 0.0), completed("c", 3.0, 1.0, None)]
+    m_path, r_path = str(tmp_path / "m.jsonl"), str(tmp_path / "r.jsonl")
+    write_manifests(m_path, manifests)
+    write_records(r_path, RecordsHeader((-1, 0), 0.1, 0.1, "test"), records)
+    assert main(["curve", "--records", r_path, "--manifests", m_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["-1.0", "0.0", "1.0", "2.0", "3.0", "4.0"]
+    assert main(["report", "--records", r_path, "--manifests", m_path]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    s_column = rows[0].index("S(t)")
+    assert [(row[0], row[s_column]) for row in rows[3:]] == [("1", "-"), ("2", "-"), ("3", "-"), ("4", "-")]
+    assert main(["score", "--records", r_path, "--t", "3"]) == 0
+    assert '"gamma": 1.0' in capsys.readouterr().out
+
+
 def test_cli_score_empty_records_fails(tmp_path, capsys):
     r_path = tmp_path / "r.jsonl"
     write_records(r_path, HEADER, [])

@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -452,6 +453,30 @@ def test_spec_refuses_a_seed_or_sample_count_that_is_not_an_int(key, value):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == f"{key} must be an integer"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ErrorRates("0.1", 0, 0), "accuracy_violation must be a finite number"),
+        (lambda: ErrorRates(0, True, 0), "runtime_crash must be a finite number"),
+        (lambda: Log2NormalLaw(0.0, "1"), "log2_stddev must be a finite number"),
+        (lambda: Log2NormalLaw("a", 0.5), "log2_mean must be a finite number"),
+        (lambda: Log2NormalLaw(math.nan, 0.5), "log2_mean must be a finite number"),
+        (lambda: SimSpec(category_mix={TaskCategory.CV: "1"}), "CV must be a finite number"),
+        (lambda: SimSpec(noise_law={ScalarKind.FLOAT16: math.inf}), "float16 must be a finite number"),
+    ],
+)
+def test_spec_types_check_their_own_numbers(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_spec_types_take_numpy_reals_as_floats():
+    law = Log2NormalLaw(np.float64(0.5), np.int64(1))
+    assert law == (0.5, 1.0) and all(type(value) is float for value in law)
+    assert SimSpec(category_mix={TaskCategory.CV: np.int64(2)}).category_mix == {TaskCategory.CV: 2.0}
 
 
 def test_cli_simulate_refuses_a_spec_framework_with_a_lone_surrogate(tmp_path, capsys):
